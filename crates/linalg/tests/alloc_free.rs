@@ -19,10 +19,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// The counter is process-global, so tests that assert on deltas must not
+/// overlap with each other's allocations.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+/// Take the measurement lock. A sibling that failed while holding it
+/// leaves the counter untouched, so a poisoned lock is still a valid one.
+fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -78,6 +89,7 @@ fn pass(
 
 #[test]
 fn gemm_and_eigensolve_steady_state_is_allocation_free() {
+    let _x = exclusive();
     // 96³ keeps 2·m·n·k below PAR_FLOPS (no fork) while still crossing
     // block boundaries of every microkernel (96 = 24 MR tiles, 12 NR
     // tiles, 1.5 NT_KC chunks).
@@ -119,6 +131,7 @@ fn gemm_and_eigensolve_steady_state_is_allocation_free() {
 
 #[test]
 fn parallel_ordering_eigensolve_steady_state_is_allocation_free() {
+    let _x = exclusive();
     // Order ≥ PAR_JACOBI_MIN so the rotation-set machinery is fully
     // engaged; on a single-core host the round phases stay sequential, so
     // no scoped-thread spawns enter the count.

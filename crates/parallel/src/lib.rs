@@ -51,7 +51,8 @@ pub use exec::senkf::SEnkf;
 pub use exec::setup::AssimilationSetup;
 pub use exec::writeback::parallel_write_back;
 pub use model::campaign::{
-    model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan, ModelVariant,
+    model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan, CyclePrice,
+    ModelVariant,
 };
 pub use model::denkf::{
     model_denkf, model_denkf_adaptive, model_denkf_faulted, model_denkf_traced,

@@ -10,6 +10,10 @@
 //! operation structure is configuration-determined — every cycle of a
 //! campaign has the identical span multiset, only time-shifted — so one
 //! single-cycle simulation is computed and replayed along a running clock.
+//! The two halves are separate steps: [`CyclePrice::new`] runs the cycle
+//! DES, [`CyclePrice::stitch`] walks the K-cycle clock over its numbers,
+//! so one price serves any number of campaign lengths, and a walk without
+//! a span sink builds no trace at all.
 //!
 //! Checkpoint and restore I/O is costed through the same OST service
 //! function the modeled PFS uses ([`PfsParams::read_service`]): one seek
@@ -120,7 +124,8 @@ pub struct CampaignModelOutcome {
     /// — comparable entry for entry with the real supervisor's
     /// `CampaignReport::cycle_digests`. Without a monitor every entry is
     /// the same replayed cycle; with one, cycles re-model under the
-    /// evolving routing view.
+    /// evolving routing view. Empty from a [`CyclePrice::stitch`] without
+    /// a span sink.
     pub cycle_digests: Vec<u64>,
     /// One [`HealthSnapshot`] per completed cycle when a monitor was
     /// attached; empty otherwise.
@@ -158,253 +163,355 @@ pub fn model_campaign_adaptive(
     variant: &ModelVariant,
     camp: &CampaignModelPlan,
     fcfg: &FaultConfig,
-    mut monitor: Option<&mut HealthMonitor>,
+    monitor: Option<&mut HealthMonitor>,
 ) -> Result<(CampaignModelOutcome, Trace), String> {
-    // The steady-state cycle: the campaign plan's non-cycle faults apply
-    // to every cycle, while cycle-scoped crashes are orchestrated here at
-    // the supervisor level (the per-cycle DES rejects crash plans).
-    let cycle_fcfg = FaultConfig {
-        plan: fcfg.plan.for_cycle_attempt(0, 1),
-        retry: fcfg.retry,
-        degraded: fcfg.degraded,
-        recv_timeout: fcfg.recv_timeout,
-    };
-    let run_cycle_model = |cfg: &ModelConfig,
-                           mon: Option<&HealthMonitor>|
-     -> Result<(ModelOutcome, Trace), String> {
-        let (out, tr, _log) = match *variant {
-            ModelVariant::LEnkf { nsdx, nsdy } => {
-                super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-            }
-            ModelVariant::PEnkf { nsdx, nsdy } => {
-                model_penkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-            }
-            ModelVariant::SEnkf(p) => {
-                model_senkf_adaptive_opts(cfg, p, SEnkfModelOptions::default(), &cycle_fcfg, mon)?
-            }
-            ModelVariant::DEnkf { shards } => {
-                super::denkf::model_denkf_adaptive(cfg, shards, &cycle_fcfg, mon)?
-            }
-        };
-        Ok((out, tr))
-    };
-    // The baseline cycle prices checkpoint overlap and crashed partial
-    // attempts in both modes; it is also the replayed cycle when no
-    // monitor is attached. Run monitor-free so pricing feeds no
-    // observations.
-    let (cycle, cycle_trace) = run_cycle_model(cfg, None)?;
-    let base_digest = fnv64(cycle_trace.digest().as_bytes());
-
-    let n = (cfg.workload.nx * cfg.workload.ny) as u64;
-    let member_bytes = 8 * n;
-    let members = cfg.workload.members;
-    let member_service = cfg.pfs.read_service(1, member_bytes);
-    let checkpoint_time = member_service * members as f64;
-    let restore_time = checkpoint_time;
-    let sup_rank = cycle.total_ranks();
-    let layers = variant.layers();
-
-    // Pipelined pricing: the background writer steals one of the machine's
-    // `S = num_osts · streams_per_ost` PFS streams while it drains, so the
-    // overlapped cycle runs against an `(S−1)/S` substrate. The per-cycle
-    // checkpoint cost that *stays* on the critical path is the contention
-    // dilation `Δ` (the cycle slowdown, prorated by how long the write
-    // actually overlaps) plus the backpressure tail `E = max(0, C − M)`
-    // (the write outlasting the cycle it hides behind). Overlap stops
-    // being free exactly when `Δ + E` approaches `C`.
-    let pipelined = camp.pipelined && camp.checkpoint;
-    let (ckpt_dilation, ckpt_tail) = if pipelined {
-        let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
-        let m = cycle.makespan;
-        if streams > 1 {
-            let share = (streams - 1) as f64 / streams as f64;
-            let (shared, _tr) = run_cycle_model(&cfg.with_bandwidth_share(share), None)?;
-            let dilation =
-                (shared.makespan - m).max(0.0) * checkpoint_time.min(m) / m.max(f64::MIN_POSITIVE);
-            (dilation, (checkpoint_time - m).max(0.0))
-        } else {
-            // A single stream: the writer and the cycle fully serialize,
-            // overlap buys nothing — the pipelined campaign degenerates to
-            // the synchronous cost.
-            (checkpoint_time.min(m), (checkpoint_time - m).max(0.0))
-        }
-    } else {
-        (0.0, 0.0)
-    };
-
     let mut trace = Trace::new("campaign-model");
-    let mut t = 0.0f64;
-    let mut lost = 0.0f64;
-    let mut restarts = 0u32;
+    let out = CyclePrice::new(cfg, variant, camp, fcfg)?.stitch(
+        camp.cycles,
+        monitor,
+        Some(&mut trace),
+    )?;
+    Ok((out, trace))
+}
 
-    let sup_span =
-        |op: Op, start: f64, dur: f64, bytes: u64, seeks: u64, member: Option<usize>| Span {
-            rank: sup_rank,
-            role: Role::Io,
-            stage: None,
-            op,
-            start,
-            dur,
-            bytes,
-            seeks,
-            peer: None,
-            member,
-            res: None,
-            tenant: None,
-            job: None,
+/// The cycle-level half of a campaign model: the single-cycle DES runs a
+/// campaign under one plan needs, reduced to the numbers its timeline is
+/// walked over. [`CyclePrice::stitch`] is the other half. Pricing once and
+/// stitching several cycle counts (the capacity planner's 1- and 2-cycle
+/// differencing) costs the DES runs of one campaign model, not one per
+/// count: the baseline cycle, plus the shared-substrate cycle when
+/// checkpoints are pipelined.
+#[derive(Debug)]
+pub struct CyclePrice<'a> {
+    cfg: &'a ModelConfig,
+    variant: &'a ModelVariant,
+    camp: &'a CampaignModelPlan,
+    fcfg: &'a FaultConfig,
+    /// The per-cycle fault configuration: the campaign plan's non-cycle
+    /// faults, without its cycle-scoped crashes.
+    cycle_fcfg: FaultConfig,
+    /// The baseline, monitor-free single-cycle outcome.
+    cycle: ModelOutcome,
+    /// The baseline cycle's trace, replayed along the campaign clock.
+    cycle_trace: Trace,
+    /// Bytes of one checkpointed member.
+    member_bytes: u64,
+    /// Virtual seconds one member write (or restore read) costs.
+    member_service: f64,
+    /// Virtual seconds one checkpoint set costs (serial member writes).
+    checkpoint_time: f64,
+    /// Pipelined: the contention dilation an in-flight write adds to the
+    /// cycle it overlaps (zero for synchronous campaigns).
+    ckpt_dilation: f64,
+    /// Pipelined: the backpressure tail, the write outlasting the cycle it
+    /// hides behind (zero for synchronous campaigns).
+    ckpt_tail: f64,
+}
+
+impl<'a> CyclePrice<'a> {
+    /// Run the cycle DES for `variant` under `camp`'s commit mode and
+    /// `fcfg`'s non-cycle faults. `camp.cycles` is not read: each
+    /// [`CyclePrice::stitch`] names its own cycle count.
+    pub fn new(
+        cfg: &'a ModelConfig,
+        variant: &'a ModelVariant,
+        camp: &'a CampaignModelPlan,
+        fcfg: &'a FaultConfig,
+    ) -> Result<Self, String> {
+        // The steady-state cycle: the campaign plan's non-cycle faults
+        // apply to every cycle, while cycle-scoped crashes are orchestrated
+        // at the supervisor level (the per-cycle DES rejects crash plans).
+        let cycle_fcfg = FaultConfig {
+            plan: fcfg.plan.for_cycle_attempt(0, 1),
+            retry: fcfg.retry,
+            degraded: fcfg.degraded,
+            recv_timeout: fcfg.recv_timeout,
         };
-    let emit_cycle = |trace: &mut Trace, t: &mut f64| {
-        trace.extend(cycle_trace.spans().iter().cloned().map(|mut s| {
-            s.start += *t;
-            s
-        }));
-        *t += cycle.makespan;
-    };
-    let emit_io = |trace: &mut Trace, t: &mut f64, op: Op| {
-        for k in 0..members {
-            trace.push(sup_span(op, *t, member_service, member_bytes, 1, Some(k)));
-            *t += member_service;
-        }
-    };
+        // The baseline cycle prices checkpoint overlap and crashed partial
+        // attempts in both modes; it is also the replayed cycle when no
+        // monitor is attached. Run monitor-free so pricing feeds no
+        // observations.
+        let (cycle, cycle_trace) = run_cycle_model(cfg, variant, &cycle_fcfg, None)?;
 
-    let mut ckpt_exposed = 0.0f64;
-    let mut ckpt_sweeps = 0usize;
-    let mut cycle_digests: Vec<u64> = Vec::new();
-    let mut health_snapshots: Vec<HealthSnapshot> = Vec::new();
-    // Pipelined: whether the previous cycle's checkpoint write is still
-    // draining in the background (at most one, mirroring the real
-    // supervisor's backpressure bound).
-    let mut inflight = false;
+        let member_bytes = 8 * (cfg.workload.nx * cfg.workload.ny) as u64;
+        let member_service = cfg.pfs.read_service(1, member_bytes);
+        let checkpoint_time = member_service * cfg.workload.members as f64;
 
-    if camp.checkpoint {
-        // The initial state is committed before any cycle runs — the
-        // recovery line for a crash in cycle 0. Synchronous in both modes.
-        emit_io(&mut trace, &mut t, Op::Ckpt);
-        ckpt_exposed += checkpoint_time;
-        ckpt_sweeps += 1;
+        // Pipelined pricing: the background writer steals one of the
+        // machine's `S = num_osts · streams_per_ost` PFS streams while it
+        // drains, so the overlapped cycle runs against an `(S−1)/S`
+        // substrate. The per-cycle checkpoint cost that *stays* on the
+        // critical path is the contention dilation `Δ` (the cycle slowdown,
+        // prorated by how long the write actually overlaps) plus the
+        // backpressure tail `E = max(0, C − M)` (the write outlasting the
+        // cycle it hides behind). Overlap stops being free exactly when
+        // `Δ + E` approaches `C`.
+        let (ckpt_dilation, ckpt_tail) = if camp.pipelined && camp.checkpoint {
+            let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
+            let m = cycle.makespan;
+            if streams > 1 {
+                let share = (streams - 1) as f64 / streams as f64;
+                let (shared, _tr) =
+                    run_cycle_model(&cfg.with_bandwidth_share(share), variant, &cycle_fcfg, None)?;
+                let dilation = (shared.makespan - m).max(0.0) * checkpoint_time.min(m)
+                    / m.max(f64::MIN_POSITIVE);
+                (dilation, (checkpoint_time - m).max(0.0))
+            } else {
+                // A single stream: the writer and the cycle fully
+                // serialize, overlap buys nothing — the pipelined campaign
+                // degenerates to the synchronous cost.
+                (checkpoint_time.min(m), (checkpoint_time - m).max(0.0))
+            }
+        } else {
+            (0.0, 0.0)
+        };
+        Ok(CyclePrice {
+            cfg,
+            variant,
+            camp,
+            fcfg,
+            cycle_fcfg,
+            cycle,
+            cycle_trace,
+            member_bytes,
+            member_service,
+            checkpoint_time,
+            ckpt_dilation,
+            ckpt_tail,
+        })
     }
-    let mut fired: BTreeSet<usize> = BTreeSet::new();
-    let mut c = 0usize;
-    while c < camp.cycles {
-        let crash = fcfg
-            .plan
-            .cycle_crashes
-            .iter()
-            .filter(|cc| cc.cycle == c && !fired.contains(&c))
-            .map(|cc| cc.stage)
-            .min();
-        if let Some(stage) = crash {
-            fired.insert(c);
-            restarts += 1;
-            // The partial attempt: the cycle dies entering stage `stage`,
-            // peers detect it after the receive timeout, then the
-            // supervisor sleeps the restart backoff.
-            let frac = (stage as f64 / layers as f64).min(1.0);
-            let partial = cycle.makespan * frac + fcfg.recv_timeout;
-            let backoff = camp.restart.backoff(0);
-            // Pipelined: the drain barrier before the restore waits out
-            // whatever part of the in-flight write the partial cycle did
-            // not already hide.
-            let drain = if inflight {
-                (checkpoint_time - cycle.makespan * frac).max(0.0)
-            } else {
-                0.0
+
+    /// Walk the timeline of a `cycles`-cycle campaign over this price.
+    /// Spans (the replayed cycles and the supervisor's checkpoint, restore
+    /// and recovery I/O) go to `sink` when one is given; so do the
+    /// per-cycle digests in [`CampaignModelOutcome::cycle_digests`], which
+    /// stay empty without a sink. The clock, and so every time in the
+    /// outcome, is the same either way.
+    pub fn stitch(
+        &self,
+        cycles: usize,
+        mut monitor: Option<&mut HealthMonitor>,
+        mut sink: Option<&mut Trace>,
+    ) -> Result<CampaignModelOutcome, String> {
+        let (cfg, camp, fcfg, cycle) = (self.cfg, self.camp, self.fcfg, &self.cycle);
+        let members = cfg.workload.members;
+        let (member_bytes, member_service) = (self.member_bytes, self.member_service);
+        let checkpoint_time = self.checkpoint_time;
+        let (ckpt_dilation, ckpt_tail) = (self.ckpt_dilation, self.ckpt_tail);
+        let sup_rank = cycle.total_ranks();
+        let layers = self.variant.layers();
+        let pipelined = camp.pipelined && camp.checkpoint;
+        let base_digest = sink
+            .is_some()
+            .then(|| fnv64(self.cycle_trace.digest().as_bytes()));
+
+        let mut t = 0.0f64;
+        let mut lost = 0.0f64;
+        let mut restarts = 0u32;
+
+        let sup_span =
+            |op: Op, start: f64, dur: f64, bytes: u64, seeks: u64, member: Option<usize>| Span {
+                rank: sup_rank,
+                role: Role::Io,
+                stage: None,
+                op,
+                start,
+                dur,
+                bytes,
+                seeks,
+                peer: None,
+                member,
+                res: None,
+                tenant: None,
+                job: None,
             };
-            inflight = false;
-            trace.push(sup_span(
-                Op::Recovery,
-                t,
-                partial + backoff + drain,
-                0,
-                0,
-                None,
-            ));
-            t += partial + backoff + drain;
-            lost += partial + backoff;
-            ckpt_exposed += drain;
-            if camp.checkpoint {
-                emit_io(&mut trace, &mut t, Op::Restore);
-                // Re-attempt the same cycle (crash consumed).
-            } else {
-                // No recovery line: everything completed so far is thrown
-                // away and the campaign restarts from cycle 0.
-                lost += t - (partial + backoff);
-                cycle_digests.clear();
-                c = 0;
+        // The clock steps member by member even without a sink: repeated
+        // addition, not one product, is the arithmetic every priced
+        // makespan depends on bit for bit.
+        let emit_io = |sink: &mut Option<&mut Trace>, t: &mut f64, op: Op| {
+            for k in 0..members {
+                if let Some(trace) = sink.as_deref_mut() {
+                    trace.push(sup_span(op, *t, member_service, member_bytes, 1, Some(k)));
+                }
+                *t += member_service;
             }
-            continue;
-        }
-        // An in-flight write from the previous cycle contends for OST
-        // streams (dilation) and must finish before this cycle's commit
-        // can be handed over (backpressure tail).
-        let dilation = if inflight { ckpt_dilation } else { 0.0 };
-        match monitor.as_deref_mut() {
-            None => {
-                emit_cycle(&mut trace, &mut t);
-                cycle_digests.push(base_digest);
-            }
-            Some(mon) => {
-                // Adaptive: this cycle's reads follow the current frozen
-                // view, so the DES must be rebuilt, and the boundary fold
-                // refreezes the view for the next cycle.
-                let (out, tr) = run_cycle_model(cfg, Some(mon))?;
-                cycle_digests.push(fnv64(tr.digest().as_bytes()));
+        };
+        let replay = |sink: &mut Option<&mut Trace>, tr: &Trace, t: f64| {
+            if let Some(trace) = sink.as_deref_mut() {
                 trace.extend(tr.spans().iter().cloned().map(|mut s| {
                     s.start += t;
                     s
                 }));
-                t += out.makespan;
-                health_snapshots.push(mon.end_cycle());
             }
-        }
-        t += dilation;
-        if inflight {
-            t += ckpt_tail;
-            ckpt_exposed += dilation + ckpt_tail;
-            inflight = false;
-        }
+        };
+
+        let mut ckpt_exposed = 0.0f64;
+        let mut ckpt_sweeps = 0usize;
+        let mut cycle_digests: Vec<u64> = Vec::new();
+        let mut health_snapshots: Vec<HealthSnapshot> = Vec::new();
+        // Pipelined: whether the previous cycle's checkpoint write is still
+        // draining in the background (at most one, mirroring the real
+        // supervisor's backpressure bound).
+        let mut inflight = false;
+
         if camp.checkpoint {
-            if pipelined {
-                // The write is queued now and drains behind the next
-                // cycle; its spans sit on the overlapped timeline without
-                // advancing the supervisor clock.
-                let mut tt = t;
-                emit_io(&mut trace, &mut tt, Op::Ckpt);
-                inflight = true;
-            } else {
-                emit_io(&mut trace, &mut t, Op::Ckpt);
-                ckpt_exposed += checkpoint_time;
-            }
+            // The initial state is committed before any cycle runs — the
+            // recovery line for a crash in cycle 0. Synchronous in both
+            // modes.
+            emit_io(&mut sink, &mut t, Op::Ckpt);
+            ckpt_exposed += checkpoint_time;
             ckpt_sweeps += 1;
         }
-        c += 1;
-    }
-    if inflight {
-        // End-of-campaign drain barrier: the final cycle's write has
-        // nothing left to hide behind.
-        t += checkpoint_time;
-        ckpt_exposed += checkpoint_time;
-    }
-    let ckpt_hidden = if camp.checkpoint {
-        (ckpt_sweeps as f64 * checkpoint_time - ckpt_exposed).max(0.0)
-    } else {
-        0.0
-    };
+        let mut fired: BTreeSet<usize> = BTreeSet::new();
+        let mut c = 0usize;
+        while c < cycles {
+            let crash = fcfg
+                .plan
+                .cycle_crashes
+                .iter()
+                .filter(|cc| cc.cycle == c && !fired.contains(&c))
+                .map(|cc| cc.stage)
+                .min();
+            if let Some(stage) = crash {
+                fired.insert(c);
+                restarts += 1;
+                // The partial attempt: the cycle dies entering stage
+                // `stage`, peers detect it after the receive timeout, then
+                // the supervisor sleeps the restart backoff.
+                let frac = (stage as f64 / layers as f64).min(1.0);
+                let partial = cycle.makespan * frac + fcfg.recv_timeout;
+                let backoff = camp.restart.backoff(0);
+                // Pipelined: the drain barrier before the restore waits out
+                // whatever part of the in-flight write the partial cycle
+                // did not already hide.
+                let drain = if inflight {
+                    (checkpoint_time - cycle.makespan * frac).max(0.0)
+                } else {
+                    0.0
+                };
+                inflight = false;
+                if let Some(trace) = sink.as_deref_mut() {
+                    trace.push(sup_span(
+                        Op::Recovery,
+                        t,
+                        partial + backoff + drain,
+                        0,
+                        0,
+                        None,
+                    ));
+                }
+                t += partial + backoff + drain;
+                lost += partial + backoff;
+                ckpt_exposed += drain;
+                if camp.checkpoint {
+                    emit_io(&mut sink, &mut t, Op::Restore);
+                    // Re-attempt the same cycle (crash consumed).
+                } else {
+                    // No recovery line: everything completed so far is
+                    // thrown away and the campaign restarts from cycle 0.
+                    lost += t - (partial + backoff);
+                    cycle_digests.clear();
+                    c = 0;
+                }
+                continue;
+            }
+            // An in-flight write from the previous cycle contends for OST
+            // streams (dilation) and must finish before this cycle's commit
+            // can be handed over (backpressure tail).
+            let dilation = if inflight { ckpt_dilation } else { 0.0 };
+            match monitor.as_deref_mut() {
+                None => {
+                    replay(&mut sink, &self.cycle_trace, t);
+                    if let Some(d) = base_digest {
+                        cycle_digests.push(d);
+                    }
+                    t += cycle.makespan;
+                }
+                Some(mon) => {
+                    // Adaptive: this cycle's reads follow the current
+                    // frozen view, so the DES must be rebuilt, and the
+                    // boundary fold refreezes the view for the next cycle.
+                    let (out, tr) =
+                        run_cycle_model(cfg, self.variant, &self.cycle_fcfg, Some(mon))?;
+                    if sink.is_some() {
+                        cycle_digests.push(fnv64(tr.digest().as_bytes()));
+                    }
+                    replay(&mut sink, &tr, t);
+                    t += out.makespan;
+                    health_snapshots.push(mon.end_cycle());
+                }
+            }
+            t += dilation;
+            if inflight {
+                t += ckpt_tail;
+                ckpt_exposed += dilation + ckpt_tail;
+                inflight = false;
+            }
+            if camp.checkpoint {
+                if pipelined {
+                    // The write is queued now and drains behind the next
+                    // cycle; its spans sit on the overlapped timeline
+                    // without advancing the supervisor clock.
+                    let mut tt = t;
+                    emit_io(&mut sink, &mut tt, Op::Ckpt);
+                    inflight = true;
+                } else {
+                    emit_io(&mut sink, &mut t, Op::Ckpt);
+                    ckpt_exposed += checkpoint_time;
+                }
+                ckpt_sweeps += 1;
+            }
+            c += 1;
+        }
+        if inflight {
+            // End-of-campaign drain barrier: the final cycle's write has
+            // nothing left to hide behind.
+            t += checkpoint_time;
+            ckpt_exposed += checkpoint_time;
+        }
+        let ckpt_hidden = if camp.checkpoint {
+            (ckpt_sweeps as f64 * checkpoint_time - ckpt_exposed).max(0.0)
+        } else {
+            0.0
+        };
 
-    Ok((
-        CampaignModelOutcome {
+        Ok(CampaignModelOutcome {
             makespan: t,
             cycle_makespan: cycle.makespan,
             checkpoint_time,
-            restore_time,
+            restore_time: checkpoint_time,
             restarts,
             lost_time: lost,
             ckpt_exposed,
             ckpt_hidden,
-            cycle,
+            cycle: cycle.clone(),
             cycle_digests,
             health_snapshots,
-        },
-        trace,
-    ))
+        })
+    }
+}
+
+/// One single-cycle DES of `variant` under `cycle_fcfg`, adaptive when a
+/// monitor is given.
+fn run_cycle_model(
+    cfg: &ModelConfig,
+    variant: &ModelVariant,
+    cycle_fcfg: &FaultConfig,
+    mon: Option<&HealthMonitor>,
+) -> Result<(ModelOutcome, Trace), String> {
+    let (out, tr, _log) = match *variant {
+        ModelVariant::LEnkf { nsdx, nsdy } => {
+            super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, cycle_fcfg, mon)?
+        }
+        ModelVariant::PEnkf { nsdx, nsdy } => {
+            model_penkf_adaptive(cfg, nsdx, nsdy, cycle_fcfg, mon)?
+        }
+        ModelVariant::SEnkf(p) => {
+            model_senkf_adaptive_opts(cfg, p, SEnkfModelOptions::default(), cycle_fcfg, mon)?
+        }
+        ModelVariant::DEnkf { shards } => {
+            super::denkf::model_denkf_adaptive(cfg, shards, cycle_fcfg, mon)?
+        }
+    };
+    Ok((out, tr))
 }

@@ -2,7 +2,7 @@
 
 use enkf_fault::FaultConfig;
 use enkf_parallel::{
-    model_campaign, CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode, ModelConfig,
+    CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode, CyclePrice, ModelConfig,
     ModelVariant,
 };
 use std::collections::BTreeMap;
@@ -123,9 +123,13 @@ pub trait Planner {
 
 /// The capacity planner: prices `(job, share)` by running the job's
 /// single-cycle discrete-event model against the share-scaled substrate
-/// ([`ModelConfig::with_bandwidth_share`]) and caching the result. Shares
-/// recur (they are ratios of a small weight set), so a campaign's whole
-/// lifetime usually costs a handful of DES runs.
+/// ([`ModelConfig::with_bandwidth_share`]) and caching the result. One
+/// price is one [`CyclePrice`] — one cycle DES for a synchronous campaign,
+/// two for a pipelined one (the second on the substrate the background
+/// writer leaves) — stitched span-free into the 1- and 2-cycle campaign
+/// makespans it differences. Shares recur (they are ratios of a small
+/// weight set), so a campaign's whole lifetime usually costs a handful of
+/// DES runs.
 #[derive(Debug, Default)]
 pub struct DesPlanner {
     cache: BTreeMap<(JobId, u64), StepCost>,
@@ -143,17 +147,23 @@ impl DesPlanner {
             .model
             .expect("capacity planning requires a JobSpec with a model");
         let shared = model.cfg.with_bandwidth_share(share);
+        let plan = CampaignModelPlan {
+            cycles: 2,
+            checkpoint: model.checkpoint,
+            pipelined: spec.ckpt_mode == CkptMode::Pipelined,
+            restart: spec.campaign.restart,
+        };
+        let fault = FaultConfig::none();
+        // One cycle price serves both campaign lengths: the cycle DES runs
+        // once (plus once on the shared substrate when pipelined), and
+        // each length is a span-free walk over the same numbers.
+        let priced =
+            CyclePrice::new(&shared, &model.variant, &plan, &fault).expect("campaign model failed");
         let run = |cycles: usize| {
-            let plan = CampaignModelPlan {
-                cycles,
-                checkpoint: model.checkpoint,
-                pipelined: spec.ckpt_mode == CkptMode::Pipelined,
-                restart: spec.campaign.restart,
-            };
-            let (out, _trace) =
-                model_campaign(&shared, &model.variant, &plan, &FaultConfig::none())
-                    .expect("campaign model failed");
-            out.makespan
+            priced
+                .stitch(cycles, None, None)
+                .expect("campaign model failed")
+                .makespan
         };
         // The steady-state step is the 2-cycle/1-cycle makespan difference
         // — exact for both commit modes: synchronous campaigns add

@@ -21,7 +21,7 @@ use s_enkf_sched_proptest_deps::*;
 // The sched crate's test half lives behind one alias module so the
 // imports read as one block.
 mod s_enkf_sched_proptest_deps {
-    pub use enkf_core::LocalAnalysis;
+    pub use enkf_core::{BatchedKernel, LocalAnalysis};
     pub use enkf_data::CycleConfig;
     pub use enkf_fault::FaultConfig;
     pub use enkf_fault::RetryPolicy;
@@ -33,7 +33,7 @@ mod s_enkf_sched_proptest_deps {
         min_share_floor, simulate, ClusterCapacity, Demand, DesPlanner, JobId, JobModel, JobSpec,
         Planner, SchedConfig, SharePolicy, StepCost, SubmitError, TenantId, TenantSpec,
     };
-    pub use enkf_tuning::Workload;
+    pub use enkf_tuning::{Params, Workload};
 }
 
 /// A deterministic, closed-form planner: cycle cost grows with job size
@@ -182,48 +182,94 @@ fn modeled_spec(cycles: usize, sla_factor: f64) -> (JobSpec, f64) {
 /// The planner's step differencing is *exact* in both commit modes:
 /// `init + K·cycle` reproduces the K-cycle campaign-model makespan to
 /// floating-point identity, synchronous and pipelined — so SLA admission
-/// reasons about exactly the schedule the dispatcher will run.
+/// reasons about exactly the schedule the dispatcher will run. And the
+/// one-pass price (one cycle price, stitched span-free at K = 1 and 2) is
+/// bit-for-bit the difference of two whole campaign models, for every
+/// variant, both commit modes, and a full and a partial bandwidth share.
 #[test]
 fn des_planner_differencing_prices_both_commit_modes_exactly() {
-    for pipelined in [false, true] {
-        let (mut spec, _) = modeled_spec(2, 2.0);
-        if pipelined {
-            spec = spec.pipelined();
-        }
-        let model = spec.model.unwrap();
-        let step = DesPlanner::price(&spec, 1.0);
-        for cycles in 1..=5usize {
-            let plan = CampaignModelPlan {
+    let execs = [
+        CampaignExecutor::LEnkf { nsdx: 2, nsdy: 2 },
+        CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 },
+        CampaignExecutor::SEnkf(Params {
+            nsdx: 2,
+            nsdy: 2,
+            layers: 2,
+            ncg: 2,
+        }),
+        CampaignExecutor::DEnkf {
+            shards: 4,
+            kernel: BatchedKernel::Cholesky,
+        },
+    ];
+    for exec in execs {
+        let with_exec = |mode: CkptMode| {
+            let (mut spec, _) = modeled_spec(2, 2.0);
+            spec.exec = exec;
+            spec.ckpt_mode = mode;
+            let mut model = spec.model.unwrap();
+            model.variant = JobSpec::variant_of(&exec).unwrap();
+            spec.model = Some(model);
+            spec
+        };
+        for pipelined in [false, true] {
+            let spec = with_exec(if pipelined {
+                CkptMode::Pipelined
+            } else {
+                CkptMode::Sync
+            });
+            let model = spec.model.unwrap();
+            let plan = |cycles| CampaignModelPlan {
                 cycles,
                 checkpoint: model.checkpoint,
                 pipelined,
                 restart: spec.campaign.restart,
             };
-            let (out, _) =
-                model_campaign(&model.cfg, &model.variant, &plan, &FaultConfig::none()).unwrap();
-            let predicted = step.init + cycles as f64 * step.cycle;
-            assert!(
-                (out.makespan - predicted).abs() < 1e-9,
-                "pipelined={pipelined} K={cycles}: differencing {predicted} != model {}",
-                out.makespan
-            );
-        }
-        // Pipelining strictly cheapens the steady-state step (the sweep
-        // comes off the critical path), never the science.
-        if pipelined {
-            let sync_step = DesPlanner::price(
-                &JobSpec {
-                    ckpt_mode: CkptMode::Sync,
-                    ..modeled_spec(2, 2.0).0
-                },
-                1.0,
-            );
-            assert!(
-                step.cycle < sync_step.cycle,
-                "pipelined step {} must undercut sync step {}",
-                step.cycle,
-                sync_step.cycle
-            );
+            for share in [1.0, 0.37] {
+                let step = DesPlanner::price(&spec, share);
+                let shared = model.cfg.with_bandwidth_share(share);
+                let makespan = |cycles| {
+                    model_campaign(&shared, &model.variant, &plan(cycles), &FaultConfig::none())
+                        .unwrap()
+                        .0
+                        .makespan
+                };
+                let t1 = makespan(1);
+                let cycle = makespan(2) - t1;
+                assert_eq!(
+                    (step.cycle.to_bits(), step.init.to_bits()),
+                    (cycle.to_bits(), (t1 - cycle).to_bits()),
+                    "{exec:?} pipelined={pipelined} share={share}: one-pass price {step:?} \
+                     differs from the two-campaign differencing"
+                );
+            }
+            let step = DesPlanner::price(&spec, 1.0);
+            for cycles in 1..=5usize {
+                let (out, _) = model_campaign(
+                    &model.cfg,
+                    &model.variant,
+                    &plan(cycles),
+                    &FaultConfig::none(),
+                )
+                .unwrap();
+                let predicted = step.init + cycles as f64 * step.cycle;
+                assert!(
+                    (out.makespan - predicted).abs() < 1e-9,
+                    "{exec:?} pipelined={pipelined} K={cycles}: differencing {predicted} != model {}",
+                    out.makespan
+                );
+            }
+            // Pipelining strictly cheapens the steady-state step (the
+            // sweep comes off the critical path), never the science.
+            if pipelined {
+                let sync_step = DesPlanner::price(&with_exec(CkptMode::Sync), 1.0);
+                assert!(
+                    step.cycle < sync_step.cycle,
+                    "{exec:?}: pipelined step {} must undercut sync step {}",
+                    step.cycle,
+                    sync_step.cycle
+                );
+            }
         }
     }
 }

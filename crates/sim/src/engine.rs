@@ -234,9 +234,11 @@ impl Simulation {
             makespan = makespan.max(now);
             finished += 1;
 
-            // Release resources and wake queued tasks (FIFO).
-            let held: Vec<ResourceId> = self.tasks[tid].resources.clone();
-            for r in held {
+            // Release resources and wake queued tasks (FIFO). Indexed, not
+            // cloned: waking a waiter never touches the finished task's
+            // resource list, and the loop stays allocation-free.
+            for i in 0..self.tasks[tid].resources.len() {
+                let r = self.tasks[tid].resources[i];
                 self.resources[r.0].free += 1;
                 loop {
                     let rs = &mut self.resources[r.0];
