@@ -9,10 +9,18 @@
 //!    the compute ranks.
 
 use enkf_bench::{print_table, secs, write_csv};
+use enkf_fault::FaultConfig;
 use enkf_parallel::model::reading::{model_block_read, model_concurrent_read};
-use enkf_parallel::model::senkf::{model_senkf_opts, SEnkfModelOptions};
-use enkf_parallel::ModelConfig;
+use enkf_parallel::model::senkf::model_senkf_adaptive;
+use enkf_parallel::{ModelConfig, ModelOutcome};
 use enkf_tuning::Params;
+
+/// One fault-free modeled S-EnKF cycle, with or without the helper thread.
+fn senkf(cfg: &ModelConfig, p: Params, helper_thread: bool) -> ModelOutcome {
+    model_senkf_adaptive(cfg, p, helper_thread, &FaultConfig::none(), None)
+        .expect("feasible")
+        .0
+}
 
 fn main() {
     let cfg = ModelConfig::paper();
@@ -41,7 +49,7 @@ fn main() {
             layers,
             ncg: 5,
         };
-        let out = model_senkf_opts(&cfg, p, SEnkfModelOptions::default()).expect("feasible");
+        let out = senkf(&cfg, p, true);
         rows.push(vec![
             layers.to_string(),
             secs(out.first_compute_start),
@@ -69,7 +77,7 @@ fn main() {
             layers: 6,
             ncg,
         };
-        let out = model_senkf_opts(&cfg, p, SEnkfModelOptions::default()).expect("feasible");
+        let out = senkf(&cfg, p, true);
         rows.push(vec![
             ncg.to_string(),
             secs(out.first_compute_start),
@@ -96,14 +104,7 @@ fn main() {
         ncg: 5,
     };
     for (label, helper) in [("helper thread (paper)", true), ("no helper thread", false)] {
-        let out = model_senkf_opts(
-            &cfg,
-            p,
-            SEnkfModelOptions {
-                helper_thread: helper,
-            },
-        )
-        .expect("feasible");
+        let out = senkf(&cfg, p, helper);
         rows.push(vec![
             label.into(),
             secs(out.compute_mean.comm),

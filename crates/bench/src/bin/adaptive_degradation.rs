@@ -28,7 +28,7 @@
 use enkf_bench::{has_flag, print_table, secs, secs_exact, tiny_workload};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthParams};
-use enkf_parallel::{model_senkf_adaptive, ModelConfig};
+use enkf_parallel::{CampaignExecutor, ModelConfig};
 use enkf_tuning::Params;
 
 const SEED: u64 = 10;
@@ -70,7 +70,8 @@ fn run_arm(
     let mut last = 0.0;
     let mut blacklisted = 0usize;
     for cycle in 0..CYCLES {
-        let (out, _, _) = model_senkf_adaptive(cfg, params, fcfg, monitor.as_deref())
+        let (out, _, _) = CampaignExecutor::SEnkf(params)
+            .model(cfg, fcfg, monitor.as_deref())
             .expect("feasible adaptive S-EnKF model");
         total += out.makespan;
         if cycle == 0 {

@@ -26,7 +26,9 @@
 //! Flags: `--tiny` shrinks the workload for smoke runs.
 
 use enkf_bench::{has_flag, print_table, secs, tiny_workload};
-use enkf_parallel::{model_denkf, model_penkf, ModelConfig};
+use enkf_core::BatchedKernel;
+use enkf_fault::FaultConfig;
+use enkf_parallel::{model_penkf_traced, CampaignExecutor, ModelConfig};
 
 fn main() {
     let mut cfg = ModelConfig::paper();
@@ -46,8 +48,17 @@ fn main() {
         let w = &cfg.workload;
         let obs = w.nx.div_ceil(stride) * w.ny.div_ceil(stride);
         for &(shards, nsdx, nsdy) in &points {
-            let batched = model_denkf(&cfg, shards).expect("batched model feasible");
-            let sequential = model_penkf(&cfg, nsdx, nsdy).expect("sequential model feasible");
+            // The DES ignores the kernel (flops, not operation structure).
+            let denkf = CampaignExecutor::DEnkf {
+                shards,
+                kernel: BatchedKernel::Cholesky,
+            };
+            let (batched, _, _) = denkf
+                .model(&cfg, &FaultConfig::none(), None)
+                .expect("batched model feasible");
+            let sequential = model_penkf_traced(&cfg, nsdx, nsdy)
+                .expect("sequential model feasible")
+                .0;
             let ratio = batched.makespan / sequential.makespan;
             println!(
                 "BATCH stride={stride} obs={obs} shards={shards} batched_s={} sequential_s={} \

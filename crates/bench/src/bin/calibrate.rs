@@ -2,9 +2,8 @@
 //! summaries at fixed (hand-picked) parameters. Used while calibrating the
 //! substrate constants (see EXPERIMENTS.md); the fig* binaries are the
 //! polished outputs.
-use enkf_parallel::model::penkf::model_penkf;
-use enkf_parallel::model::senkf::model_senkf;
 use enkf_parallel::ModelConfig;
+use enkf_parallel::{model_penkf_traced, model_senkf_traced};
 use enkf_tuning::Params;
 
 fn main() {
@@ -17,7 +16,7 @@ fn main() {
         (10000, 100, 100),
         (12000, 120, 100),
     ] {
-        let p = model_penkf(&cfg, nsdx, nsdy).unwrap();
+        let p = model_penkf_traced(&cfg, nsdx, nsdy).unwrap().0;
         let io = p.compute_mean.read + p.compute_mean.comm + p.compute_mean.wait;
         println!(
             "P-EnKF np={np:>6}: makespan {:8.1}s io(r+w) {:8.1} comp {:8.1} iofrac {:.2}",
@@ -35,7 +34,7 @@ fn main() {
         (10000, 100, 100, 2, 6),
         (12000, 120, 100, 2, 6),
     ] {
-        let s = model_senkf(
+        let (s, _) = model_senkf_traced(
             &cfg,
             Params {
                 nsdx,

@@ -39,7 +39,7 @@
 
 use enkf_bench::{has_flag, print_table, secs, tiny_workload};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
-use enkf_parallel::{model_campaign, CampaignModelPlan, ModelConfig, ModelVariant};
+use enkf_parallel::{model_campaign, CampaignExecutor, CampaignModelPlan, ModelConfig};
 use enkf_tuning::Params;
 
 const SEED: u64 = 15;
@@ -78,7 +78,7 @@ fn main() {
             .expect("tunable")
             .params
     };
-    let variant = ModelVariant::SEnkf(params);
+    let variant = CampaignExecutor::SEnkf(params);
     let restart = RetryPolicy {
         max_retries: 3,
         base_backoff: 0.5,

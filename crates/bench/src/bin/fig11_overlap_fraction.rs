@@ -8,7 +8,7 @@
 //! multi-stage co-design does not degrade at scale.
 
 use enkf_bench::{paper_scaling_points, pct, print_table, secs, write_csv};
-use enkf_parallel::model::senkf::model_senkf;
+use enkf_parallel::model_senkf_traced;
 use enkf_parallel::ModelConfig;
 use enkf_tuning::autotune;
 
@@ -17,7 +17,7 @@ fn main() {
     let mut rows = Vec::new();
     for (np, _, _) in paper_scaling_points() {
         let tuned = autotune(&cfg.cost_params(), np, 2e-2).expect("tunable");
-        let s = model_senkf(&cfg, tuned.params).expect("feasible");
+        let s = model_senkf_traced(&cfg, tuned.params).expect("feasible").0;
         rows.push(vec![
             np.to_string(),
             format!("{:?}", tuned.params),

@@ -9,7 +9,7 @@
 //! and from the test data; the paper's claim is that they coincide.
 
 use enkf_bench::{print_table, secs, write_csv};
-use enkf_parallel::model::senkf::model_senkf;
+use enkf_parallel::model_senkf_traced;
 use enkf_parallel::ModelConfig;
 use enkf_tuning::{algorithm1, economic_choice, CurvePoint, Params};
 
@@ -34,7 +34,7 @@ fn main() {
         // with this (C1, C2) and record the exposed acquisition time.
         let mut best_test: Option<(f64, Params)> = None;
         for combo in feasible_combos(&cost, c1, c2) {
-            let out = model_senkf(&cfg, combo).expect("feasible");
+            let out = model_senkf_traced(&cfg, combo).expect("feasible").0;
             let t_test = out.first_compute_start;
             cross_rows.push(vec![c1.to_string(), format!("{combo:?}"), secs(t_test)]);
             if best_test.is_none_or(|(t, _)| t_test < t) {

@@ -7,9 +7,8 @@
 //! ~3× over P-EnKF at 12,000.
 
 use enkf_bench::{paper_scaling_points, print_table, secs, write_csv};
-use enkf_parallel::model::penkf::model_penkf;
-use enkf_parallel::model::senkf::model_senkf;
 use enkf_parallel::ModelConfig;
+use enkf_parallel::{model_penkf_traced, model_senkf_traced};
 use enkf_tuning::autotune;
 
 fn main() {
@@ -17,9 +16,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut s_first: Option<(usize, f64)> = None;
     for (np, nsdx, nsdy) in paper_scaling_points() {
-        let p = model_penkf(&cfg, nsdx, nsdy).expect("feasible");
+        let p = model_penkf_traced(&cfg, nsdx, nsdy).expect("feasible").0;
         let tuned = autotune(&cfg.cost_params(), np, 2e-2).expect("tunable");
-        let s = model_senkf(&cfg, tuned.params).expect("feasible");
+        let s = model_senkf_traced(&cfg, tuned.params).expect("feasible").0;
         let (np0, t0) = *s_first.get_or_insert((np, s.makespan));
         let ideal = t0 * np0 as f64 / np as f64;
         rows.push(vec![

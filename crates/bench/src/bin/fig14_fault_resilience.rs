@@ -14,16 +14,14 @@
 //! `--check-overhead` additionally runs the real executors on a small
 //! scenario and verifies the no-fault fault path is free: byte-identical
 //! operation digests and wall-clock parity between `run_traced` and
-//! `run_faulted(FaultConfig::none())`.
+//! `run(.., &FaultConfig::none(), None)`.
 
 use enkf_bench::{has_flag, pct, print_table, secs, tiny_workload, write_csv};
 use enkf_core::LocalAnalysis;
 use enkf_data::{write_ensemble, ScenarioBuilder};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
-use enkf_parallel::{
-    model_penkf_faulted, model_senkf_faulted, AssimilationSetup, ModelConfig, PEnkf, SEnkf,
-};
+use enkf_parallel::{AssimilationSetup, CampaignExecutor, ModelConfig, PEnkf, SEnkf};
 use enkf_pfs::{FileStore, ScratchDir};
 use enkf_tuning::{autotune, Params};
 
@@ -43,15 +41,23 @@ fn sweep(cfg: &ModelConfig, np: usize, nsdx: usize, nsdy: usize, s_params: Param
     let severities = [1.0, 1.25, 1.5, 2.0, 3.0];
     let ranks = np.max(s_params.total_processors());
     let clean = FaultConfig::none();
-    let (p0, _, _) = model_penkf_faulted(cfg, nsdx, nsdy, &clean).expect("feasible");
-    let (s0, _, _) = model_senkf_faulted(cfg, s_params, &clean).expect("feasible");
+    let (p0, _, _) = CampaignExecutor::PEnkf { nsdx, nsdy }
+        .model(cfg, &clean, None)
+        .expect("feasible");
+    let (s0, _, _) = CampaignExecutor::SEnkf(s_params)
+        .model(cfg, &clean, None)
+        .expect("feasible");
 
     let mut rows = Vec::new();
     for severity in severities {
         let mut fcfg = FaultConfig::degraded(plan_for(severity, ranks));
         fcfg.retry = RetryPolicy::none();
-        let (p, _, _) = model_penkf_faulted(cfg, nsdx, nsdy, &fcfg).expect("feasible");
-        let (s, _, _) = model_senkf_faulted(cfg, s_params, &fcfg).expect("feasible");
+        let (p, _, _) = CampaignExecutor::PEnkf { nsdx, nsdy }
+            .model(cfg, &fcfg, None)
+            .expect("feasible");
+        let (s, _, _) = CampaignExecutor::SEnkf(s_params)
+            .model(cfg, &fcfg, None)
+            .expect("feasible");
         rows.push(vec![
             format!("{severity:.2}"),
             secs(p.makespan),
@@ -114,8 +120,8 @@ fn check_overhead() {
         plain = plain.min(t.elapsed().as_secs_f64());
 
         let t = std::time::Instant::now();
-        let (_, _, tpf, _) = penkf.run_faulted(&setup, &none).expect("faulted P-EnKF");
-        let (_, _, tsf, _) = senkf.run_faulted(&setup, &none).expect("faulted S-EnKF");
+        let (_, _, tpf, _) = penkf.run(&setup, &none, None).expect("faulted P-EnKF");
+        let (_, _, tsf, _) = senkf.run(&setup, &none, None).expect("faulted S-EnKF");
         faulted = faulted.min(t.elapsed().as_secs_f64());
 
         equal &= tp.digest() == tpf.digest() && ts.digest() == tsf.digest();

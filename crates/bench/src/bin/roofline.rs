@@ -2,7 +2,7 @@
 //! GEMM flavour at LETKF-relevant sizes, for the legacy blocked loops
 //! (`kernel::reference`, the exact pre-refactor code) and the
 //! cache-oblivious + SIMD kernel layer; plus matvec, the bulk LE↔f64
-//! conversion, the Gram eigensolve (serial cyclic vs parallel-ordering),
+//! conversion, the serial cyclic Gram eigensolve,
 //! and the end-to-end pointwise LETKF case tracked since `BENCH_PR2.json`.
 //!
 //! Prints one machine-readable `ROOF key=value ...` line per measurement
@@ -148,17 +148,13 @@ fn main() {
         legacy_us / kernel_us
     );
 
-    // --- Gram eigensolve: serial cyclic vs parallel-ordering -------------
+    // --- Gram eigensolve (serial cyclic Jacobi) ----------------------------
     for &n in &[24usize, 48, 96] {
         let mut sym = random_matrix(n, n, 6);
         sym.symmetrize();
         let mut ws = EigenWorkspace::new();
         let serial_us = time_us(|| ws.decompose(&sym).unwrap());
-        let parallel_us = time_us(|| ws.decompose_parallel(&sym).unwrap());
-        println!(
-            "ROOF kind=eigen n={n} serial_us={serial_us:.1} parallel_us={parallel_us:.1} speedup={:.3}",
-            serial_us / parallel_us
-        );
+        println!("ROOF kind=eigen n={n} serial_us={serial_us:.1}");
     }
 
     // --- end-to-end pointwise LETKF (BENCH_PR2 geometry) -----------------

@@ -52,7 +52,7 @@ fn job_spec(cfg: &ModelConfig, params: Params) -> (JobSpec, f64) {
     let mut spec = JobSpec::best_effort(CampaignExecutor::SEnkf(params), campaign);
     spec.model = Some(JobModel {
         cfg: *cfg,
-        variant: JobSpec::variant_of(&spec.exec).expect("S-EnKF has a model"),
+        variant: spec.exec,
         checkpoint: true,
     });
     let step = DesPlanner::price(&spec, 1.0);

@@ -11,40 +11,15 @@ use enkf_core::{
 };
 use enkf_grid::{LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use enkf_linalg::Matrix;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
-/// System allocator wrapper counting every allocation-side call.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{exclusive, ALLOCATIONS};
 
 #[test]
 fn letkf_point_loop_is_allocation_free_at_steady_state() {
+    let _x = exclusive();
     let mesh = Mesh::new(12, 12);
     let nens = 8;
     let radius = LocalizationRadius { xi: 2, eta: 2 };

@@ -1,29 +1,11 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method, with a
-//! parallel-ordering variant for larger Gram matrices.
+//! Symmetric eigendecomposition via the cyclic Jacobi method.
 //!
 //! The deterministic ensemble-space formulation of the EnKF (the LETKF of
 //! Ott et al. 2004, which the paper's L-EnKF baselines build on) needs the
 //! eigendecomposition of an `N × N` symmetric matrix in ensemble space —
 //! `N` is the ensemble size, so a simple, robust Jacobi sweep is entirely
 //! adequate and keeps the stack dependency-free.
-//!
-//! The observation-space dual transform additionally solves an `m̄ × m̄`
-//! Gram eigenproblem per local analysis — the serial residue of the
-//! pointwise LETKF loop. [`EigenWorkspace::decompose_parallel`] runs
-//! *parallel-ordering* Jacobi for that path: each sweep is a round-robin
-//! tournament of `n−1` rounds of ⌊n/2⌋ **disjoint** rotation pairs; all
-//! rotation angles of a round are computed from the same matrix snapshot
-//! (legal because disjoint rotations don't touch each other's defining
-//! entries), then applied as one row phase + one column phase. Every
-//! element sees a fixed op sequence per round, so results are
-//! **deterministic and thread-count independent** — but the rotation
-//! *ordering* differs from the serial cyclic sweep, so they are not
-//! bit-identical to [`EigenWorkspace::decompose`]. Under default features
-//! `decompose` therefore always runs the serial kernel; with the
-//! `fast-math` feature it routes orders ≥ `kernel::tiles::PAR_JACOBI_MIN`
-//! to the parallel kernel.
 
-use crate::kernel::tiles::PAR_JACOBI_MIN;
 use crate::{LinalgError, Matrix, Result};
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
@@ -105,36 +87,6 @@ pub struct EigenWorkspace {
     values: Vec<f64>,
     vectors: Matrix,
     scaled: Matrix,
-    rot: RotationSet,
-}
-
-/// Reusable buffers for one round of parallel-ordering Jacobi: the
-/// tournament schedule plus the per-pair rotation parameters (computed
-/// up front from one matrix snapshot, then applied phase by phase).
-#[derive(Debug, Clone, Default)]
-struct RotationSet {
-    sched: Vec<usize>,
-    p: Vec<usize>,
-    q: Vec<usize>,
-    c: Vec<f64>,
-    s: Vec<f64>,
-    dpp: Vec<f64>,
-    dqq: Vec<f64>,
-}
-
-impl RotationSet {
-    fn clear(&mut self) {
-        self.p.clear();
-        self.q.clear();
-        self.c.clear();
-        self.s.clear();
-        self.dpp.clear();
-        self.dqq.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.p.len()
-    }
 }
 
 impl Default for EigenWorkspace {
@@ -154,7 +106,6 @@ impl EigenWorkspace {
             values: Vec::new(),
             vectors: Matrix::zeros(0, 0),
             scaled: Matrix::zeros(0, 0),
-            rot: RotationSet::default(),
         }
     }
 
@@ -162,18 +113,7 @@ impl EigenWorkspace {
     ///
     /// See [`SymEigen::decompose`] for the algorithm; the results are read
     /// back through [`EigenWorkspace::values`] / [`EigenWorkspace::vectors`].
-    ///
-    /// Under default features this always runs the serial cyclic kernel
-    /// (bit-stable across every machine and thread count). With the
-    /// `fast-math` feature, orders at or above
-    /// `kernel::tiles::PAR_JACOBI_MIN` route to
-    /// [`EigenWorkspace::decompose_parallel`] — still deterministic, but
-    /// a different rotation ordering and therefore different bits.
     pub fn decompose(&mut self, a: &Matrix) -> Result<()> {
-        #[cfg(feature = "fast-math")]
-        if a.is_square() && a.nrows() >= PAR_JACOBI_MIN {
-            return self.decompose_parallel(a);
-        }
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
@@ -186,45 +126,7 @@ impl EigenWorkspace {
         Ok(())
     }
 
-    /// Decompose with parallel-ordering Jacobi rotation sets.
-    ///
-    /// Always available regardless of features. Per sweep, a round-robin
-    /// tournament visits every index pair exactly once in `n−1` rounds of
-    /// disjoint pairs; each round computes all rotation angles from one
-    /// snapshot, applies the row phase (pairs in parallel), the column
-    /// phase (rows in parallel), the exact diagonal/zero fixups, and
-    /// re-mirrors the upper triangle so the iteration stays exactly
-    /// symmetric. Per-element op sequences are fixed, so the result is
-    /// **bit-stable across thread counts** (including fully serial) —
-    /// just not bit-identical to the serial cyclic ordering of
-    /// [`EigenWorkspace::decompose`].
-    pub fn decompose_parallel(&mut self, a: &Matrix) -> Result<()> {
-        self.decompose_parallel_impl(a, false)
-    }
-
-    /// Test hook: run the parallel-ordering solve with the fork path forced
-    /// on even when only one hardware thread is detected. Bit-identity of
-    /// forced-on vs single-threaded runs is the cross-thread-count
-    /// determinism proof the conformance suite relies on.
-    #[doc(hidden)]
-    pub fn decompose_parallel_forced(&mut self, a: &Matrix) -> Result<()> {
-        self.decompose_parallel_impl(a, true)
-    }
-
-    fn decompose_parallel_impl(&mut self, a: &Matrix, force_par: bool) -> Result<()> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.nrows();
-        self.m.copy_from(a);
-        self.m.symmetrize();
-        self.vt.resize_identity(n);
-        jacobi_iterate_parallel(&mut self.m, &mut self.vt, &mut self.rot, force_par);
-        self.finish(n);
-        Ok(())
-    }
-
-    /// Shared post-iteration path: extract the diagonal, sort ascending,
+    /// Post-iteration path: extract the diagonal, sort ascending,
     /// and scatter eigenvectors into columns.
     fn finish(&mut self, n: usize) {
         // Extract the diagonal and sort ascending. The insertion sort is
@@ -393,174 +295,6 @@ fn rotate_rows(vt: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     }
 }
 
-/// Raw mutable matrix view crossing `rayon::join`; the recursion halves
-/// always address disjoint rows (row phase: disjoint pairs; column phase:
-/// disjoint row ranges).
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Minimum pairs (row phase) / rows (column phase) per task before the
-/// recursion stops forking.
-const PAR_JACOBI_GRAIN: usize = 16;
-
-/// Parallel-ordering Jacobi sweeps: round-robin tournament rotation sets
-/// applied as snapshot-parameter row/column phases. See
-/// [`EigenWorkspace::decompose_parallel`] for the determinism argument.
-fn jacobi_iterate_parallel(
-    m: &mut Matrix,
-    vt: &mut Matrix,
-    rot: &mut RotationSet,
-    force_par: bool,
-) {
-    let n = m.nrows();
-    if n < 2 {
-        return;
-    }
-    // Circle-method schedule; odd orders get a bye slot `players - 1 = n`.
-    let players = if n.is_multiple_of(2) { n } else { n + 1 };
-    rot.sched.clear();
-    rot.sched.extend(0..players);
-    let par = (force_par || rayon::current_num_threads() > 1) && n >= PAR_JACOBI_MIN;
-    let max_sweeps = 30;
-    for _ in 0..max_sweeps {
-        let off: f64 = off_diagonal_norm(m);
-        if off < 1e-14 * (1.0 + m.frobenius_norm()) {
-            break;
-        }
-        for _round in 0..players - 1 {
-            rot.clear();
-            for i in 0..players / 2 {
-                let x = rot.sched[i];
-                let y = rot.sched[players - 1 - i];
-                if x >= n || y >= n {
-                    continue; // bye slot of an odd-order schedule
-                }
-                let (p, q) = if x < y { (x, y) } else { (y, x) };
-                let apq = m[(p, q)];
-                if apq.abs() < 1e-300 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                // Stable rotation computation (Golub & Van Loan) — the same
-                // expressions as the serial kernel. Disjoint rotations leave
-                // each other's defining entries untouched, so snapshot
-                // parameters equal on-the-fly parameters.
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                rot.p.push(p);
-                rot.q.push(q);
-                rot.c.push(c);
-                rot.s.push(s);
-                rot.dpp.push(c * c * app - 2.0 * s * c * apq + s * s * aqq);
-                rot.dqq.push(s * s * app + 2.0 * s * c * apq + c * c * aqq);
-            }
-            if rot.len() > 0 {
-                apply_rotation_set(m, rot, par);
-                // Vᵀ ← QᵀVᵀ: the same disjoint row-pair combination.
-                row_phase(
-                    SendPtr(vt.as_mut_slice().as_mut_ptr()),
-                    n,
-                    rot,
-                    0,
-                    rot.len(),
-                    par,
-                );
-            }
-            // Advance the tournament: slot 0 is fixed, slots 1.. rotate.
-            let last = rot.sched[players - 1];
-            for i in (2..players).rev() {
-                rot.sched[i] = rot.sched[i - 1];
-            }
-            rot.sched[1] = last;
-        }
-    }
-}
-
-/// Apply one round of disjoint rotations `A ← QᵀAQ` in two phases, then
-/// fix the rotated diagonals/zeros exactly and re-mirror the upper
-/// triangle so the iterate stays exactly symmetric.
-fn apply_rotation_set(m: &mut Matrix, rot: &RotationSet, par: bool) {
-    let n = m.nrows();
-    let data = SendPtr(m.as_mut_slice().as_mut_ptr());
-    row_phase(data, n, rot, 0, rot.len(), par);
-    col_phase(data, n, rot, 0, n, par);
-    let d = m.as_mut_slice();
-    for idx in 0..rot.len() {
-        let (p, q) = (rot.p[idx], rot.q[idx]);
-        // The 2×2 pivot block closed forms (identical expressions to the
-        // serial kernel); the rotation annihilates (p, q) exactly.
-        d[p * n + p] = rot.dpp[idx];
-        d[q * n + q] = rot.dqq[idx];
-        d[p * n + q] = 0.0;
-        d[q * n + p] = 0.0;
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            d[j * n + i] = d[i * n + j];
-        }
-    }
-}
-
-/// Row phase `A ← QᵀA`: each pair combines its two full rows. Pairs are
-/// disjoint, so the pair range can be split across threads freely.
-fn row_phase(data: SendPtr, n: usize, rot: &RotationSet, lo: usize, hi: usize, par: bool) {
-    if par && hi - lo > PAR_JACOBI_GRAIN {
-        let mid = (lo + hi) / 2;
-        rayon::join(
-            || row_phase(data, n, rot, lo, mid, par),
-            || row_phase(data, n, rot, mid, hi, par),
-        );
-        return;
-    }
-    for idx in lo..hi {
-        let (p, q, c, s) = (rot.p[idx], rot.q[idx], rot.c[idx], rot.s[idx]);
-        unsafe {
-            let rp = data.0.add(p * n);
-            let rq = data.0.add(q * n);
-            for j in 0..n {
-                let xp = *rp.add(j);
-                let xq = *rq.add(j);
-                *rp.add(j) = c * xp - s * xq;
-                *rq.add(j) = s * xp + c * xq;
-            }
-        }
-    }
-}
-
-/// Column phase `A ← AQ`: per row, each pair combines two entries. Rows
-/// are independent, so the row range splits across threads freely.
-fn col_phase(data: SendPtr, n: usize, rot: &RotationSet, lo: usize, hi: usize, par: bool) {
-    if par && hi - lo > PAR_JACOBI_GRAIN {
-        let mid = (lo + hi) / 2;
-        rayon::join(
-            || col_phase(data, n, rot, lo, mid, par),
-            || col_phase(data, n, rot, mid, hi, par),
-        );
-        return;
-    }
-    for k in lo..hi {
-        unsafe {
-            let row = data.0.add(k * n);
-            for idx in 0..rot.len() {
-                let (p, q, c, s) = (rot.p[idx], rot.q[idx], rot.c[idx], rot.s[idx]);
-                let xp = *row.add(p);
-                let xq = *row.add(q);
-                *row.add(p) = c * xp - s * xq;
-                *row.add(q) = s * xp + c * xq;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,72 +408,6 @@ mod tests {
         assert!(EigenWorkspace::new()
             .decompose(&Matrix::zeros(2, 3))
             .is_err());
-    }
-
-    #[test]
-    fn parallel_decompose_is_a_valid_eigendecomposition() {
-        let mut ws = EigenWorkspace::new();
-        for (n, seed) in [(2usize, 3u64), (7, 5), (20, 9), (53, 17)] {
-            let a = random_symmetric(n, seed);
-            ws.decompose_parallel(&a).unwrap();
-            // Reconstruct V diag(λ) Vᵀ and check orthonormality.
-            let v = ws.vectors().clone();
-            let mut scaled = v.clone();
-            for j in 0..n {
-                for i in 0..n {
-                    scaled[(i, j)] *= ws.values()[j];
-                }
-            }
-            let recon = scaled.matmul_tr(&v).unwrap();
-            assert!(recon.approx_eq(&a, 1e-9), "n={n} seed={seed} reconstruct");
-            let vtv = v.tr_matmul(&v).unwrap();
-            assert!(
-                vtv.approx_eq(&Matrix::identity(n), 1e-10),
-                "n={n} seed={seed} orthonormal"
-            );
-            // Ascending eigenvalue order.
-            assert!(ws.values().windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    fn parallel_decompose_matches_serial_spectrum() {
-        let mut serial = EigenWorkspace::new();
-        let mut par = EigenWorkspace::new();
-        for (n, seed) in [(6usize, 1u64), (21, 7), (48, 23)] {
-            let a = random_symmetric(n, seed);
-            serial.decompose(&a).unwrap();
-            par.decompose_parallel(&a).unwrap();
-            for (l_s, l_p) in serial.values().iter().zip(par.values()) {
-                assert!(
-                    (l_s - l_p).abs() <= 1e-9 * (1.0 + l_s.abs()),
-                    "n={n} seed={seed}: {l_s} vs {l_p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_decompose_is_self_deterministic() {
-        // Two runs (and two workspaces) must agree bitwise — the parallel
-        // ordering is fixed, not scheduling-dependent.
-        let a = random_symmetric(33, 41);
-        let mut w1 = EigenWorkspace::new();
-        let mut w2 = EigenWorkspace::new();
-        w1.decompose_parallel(&a).unwrap();
-        w2.decompose_parallel(&a).unwrap();
-        assert_eq!(w1.values(), w2.values());
-        assert_eq!(w1.vectors(), w2.vectors());
-    }
-
-    #[test]
-    fn parallel_decompose_handles_degenerate_orders() {
-        let mut ws = EigenWorkspace::new();
-        ws.decompose_parallel(&Matrix::zeros(0, 0)).unwrap();
-        assert!(ws.values().is_empty());
-        ws.decompose_parallel(&Matrix::from_diag(&[4.0])).unwrap();
-        assert_eq!(ws.values(), &[4.0]);
-        assert!(ws.decompose_parallel(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! guarantee the pointwise LETKF loop depends on: the cache-oblivious
 //! recursion works in-place on the output, the microkernels keep their
 //! tiles in registers/stack arrays, and `EigenWorkspace` reuses its
-//! scratch (including the parallel-ordering rotation set).
+//! scratch.
 //!
 //! Problem sizes stay below `kernel::tiles::PAR_FLOPS` so the recursion
 //! never forks — the shim's `rayon::join` spawns a real scoped thread,
@@ -17,47 +17,11 @@
 use enkf_linalg::{EigenWorkspace, GaussianSampler, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// The counter is process-global, so tests that assert on deltas must not
-/// overlap with each other's allocations.
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Take the measurement lock. A sibling that failed while holding it
-/// leaves the counter untouched, so a poisoned lock is still a valid one.
-fn exclusive() -> MutexGuard<'static, ()> {
-    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{exclusive, ALLOCATIONS};
 
 fn random_matrix(r: usize, c: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -126,30 +90,5 @@ fn gemm_and_eigensolve_steady_state_is_allocation_free() {
         after - before,
         0,
         "steady-state GEMM/matvec/eigensolve must not touch the allocator"
-    );
-}
-
-#[test]
-fn parallel_ordering_eigensolve_steady_state_is_allocation_free() {
-    let _x = exclusive();
-    // Order ≥ PAR_JACOBI_MIN so the rotation-set machinery is fully
-    // engaged; on a single-core host the round phases stay sequential, so
-    // no scoped-thread spawns enter the count.
-    let n = 56;
-    let mut sym = random_matrix(n, n, 11);
-    sym.symmetrize();
-    let mut ws = EigenWorkspace::new();
-    ws.decompose_parallel(&sym).unwrap();
-    let warm = ws.values()[0];
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    ws.decompose_parallel(&sym).unwrap();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert_eq!(warm.to_bits(), ws.values()[0].to_bits());
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state parallel-ordering eigensolve must not allocate"
     );
 }

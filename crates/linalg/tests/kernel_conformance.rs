@@ -15,7 +15,7 @@
 //!    rather than silently shipped.
 
 use enkf_linalg::kernel::{self, gemm, reference};
-use enkf_linalg::{EigenWorkspace, GaussianSampler, Matrix};
+use enkf_linalg::{GaussianSampler, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -156,30 +156,6 @@ fn kernels_are_run_to_run_deterministic() {
             );
         }
     }
-}
-
-#[test]
-fn parallel_eigensolve_forced_fork_matches_serial_schedule() {
-    // The cross-thread-count determinism claim, independent of features:
-    // forcing the fork path must not change a bit relative to running the
-    // identical rotation schedule sequentially.
-    let n = 52;
-    let mut sym = random_matrix(n, n, 77);
-    sym.symmetrize();
-    let mut a = EigenWorkspace::new();
-    let mut b = EigenWorkspace::new();
-    a.decompose_parallel(&sym).unwrap();
-    b.decompose_parallel_forced(&sym).unwrap();
-    assert_bits(a.values(), b.values(), "eigenvalues");
-    assert_bits(
-        a.vectors().as_slice(),
-        b.vectors().as_slice(),
-        "eigenvectors",
-    );
-    // And twice through the same workspace stays bitwise stable.
-    let v1 = fnv64(a.values());
-    a.decompose_parallel(&sym).unwrap();
-    assert_eq!(v1, fnv64(a.values()));
 }
 
 /// Pinned digests for the FMA fast path on x86-64 AVX2+FMA hosts. These

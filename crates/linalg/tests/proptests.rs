@@ -2,8 +2,7 @@
 
 use enkf_linalg::kernel::{gemm, reference};
 use enkf_linalg::{
-    Cholesky, EigenWorkspace, GaussianSampler, Ldlt, Matrix, ModifiedCholesky,
-    ShermanMorrisonWorkspace,
+    Cholesky, GaussianSampler, Ldlt, Matrix, ModifiedCholesky, ShermanMorrisonWorkspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -374,28 +373,5 @@ proptest! {
         reference::matvec(a.as_slice(), &x, &mut oracle, m, k);
         let fast = a.matvec(&x).unwrap();
         assert_bits(&fast, &oracle)?;
-    }
-}
-
-// The parallel-ordering Jacobi solve: forcing the fork path on a
-// single-core host must reproduce the serial-schedule bits exactly —
-// the cross-thread-count determinism claim.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn parallel_eigensolve_fork_path_is_bit_stable(
-        n in 48usize..=53, seed in any::<u64>()
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gs = GaussianSampler::new();
-        let mut a = Matrix::from_fn(n, n, |_, _| gs.sample(&mut rng));
-        a.symmetrize();
-        let mut serial = EigenWorkspace::new();
-        let mut forked = EigenWorkspace::new();
-        serial.decompose_parallel(&a).unwrap();
-        forked.decompose_parallel_forced(&a).unwrap();
-        assert_bits(serial.values(), forked.values())?;
-        assert_bits(serial.vectors().as_slice(), forked.vectors().as_slice())?;
     }
 }

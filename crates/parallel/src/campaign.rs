@@ -2,14 +2,15 @@
 //!
 //! A *campaign* runs K forecast–observe–analyze cycles of a
 //! [`CycledExperiment`] through one of the parallel executors
-//! (L/P/S-EnKF), checkpointing the resumable state after every cycle via
+//! (L/P/S/D-EnKF), checkpointing the resumable state after every cycle via
 //! [`enkf_ckpt::CheckpointStore`]. The supervisor wraps each cycle's
-//! `run_faulted` call and turns substrate failures — rank crashes, helper
-//! thread deaths, retry exhaustion, receive timeouts — into *recoveries*:
-//! tear the cycle down, restore the last durable checkpoint **from disk**,
-//! and re-run under an exponential-backoff restart budget. Members the
-//! fault plan makes unrecoverable degrade the campaign to the N−1 path
-//! (the ensemble continues on the survivors) instead of consuming restarts.
+//! [`CampaignExecutor::run`] call and turns substrate failures — rank
+//! crashes, helper thread deaths, retry exhaustion, receive timeouts — into
+//! *recoveries*: tear the cycle down, restore the last durable checkpoint
+//! **from disk**, and re-run under an exponential-backoff restart budget.
+//! Members the fault plan makes unrecoverable degrade the campaign to the
+//! N−1 path (the ensemble continues on the survivors) instead of consuming
+//! restarts.
 //!
 //! Restoring from disk even for in-process recoveries is what makes the
 //! headline invariant hold: **kill–resume determinism**. A campaign killed
@@ -43,8 +44,11 @@ use enkf_trace::{RankTracer, Role, Trace};
 use enkf_tuning::Params;
 use std::time::{Duration, Instant};
 
-/// Which parallel variant a campaign drives. All three share the
-/// supervisor, the checkpoint format and the recovery state machine.
+/// One parallel variant with its configuration: the value both worlds
+/// dispatch on. [`CampaignExecutor::run`] runs a cycle on the real
+/// threaded executor and [`CampaignExecutor::model`] runs its DES mirror;
+/// all four variants share the supervisor, the checkpoint format and the
+/// recovery state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignExecutor {
     /// Single-reader baseline (§6).
@@ -86,23 +90,38 @@ impl CampaignExecutor {
         }
     }
 
-    fn run_adaptive(
+    /// Run one assimilation cycle on the real executor this value names;
+    /// see [`LEnkf::run`], [`PEnkf::run`], [`SEnkf::run`] and
+    /// [`DEnkf::run`]. [`CampaignExecutor::model`] is the DES mirror.
+    pub fn run(
         &self,
         setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
+        faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> CoreResult<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         match *self {
             CampaignExecutor::LEnkf { nsdx, nsdy } => {
-                LEnkf { nsdx, nsdy }.run_adaptive(setup, cfg, monitor)
+                LEnkf { nsdx, nsdy }.run(setup, faults, monitor)
             }
             CampaignExecutor::PEnkf { nsdx, nsdy } => {
-                PEnkf { nsdx, nsdy }.run_adaptive(setup, cfg, monitor)
+                PEnkf { nsdx, nsdy }.run(setup, faults, monitor)
             }
-            CampaignExecutor::SEnkf(p) => SEnkf::new(p).run_adaptive(setup, cfg, monitor),
+            CampaignExecutor::SEnkf(p) => SEnkf::new(p).run(setup, faults, monitor),
             CampaignExecutor::DEnkf { shards, kernel } => {
-                DEnkf { shards, kernel }.run_adaptive(setup, cfg, monitor)
+                DEnkf { shards, kernel }.run(setup, faults, monitor)
             }
+        }
+    }
+
+    /// Local-analysis stages per cycle: the S-EnKF layer count `L`, one
+    /// for the single-stage variants. A crash entering stage `s` has
+    /// thrown away `s / L` of the cycle.
+    pub(crate) fn layers(&self) -> usize {
+        match *self {
+            CampaignExecutor::SEnkf(p) => p.layers,
+            CampaignExecutor::LEnkf { .. }
+            | CampaignExecutor::PEnkf { .. }
+            | CampaignExecutor::DEnkf { .. } => 1,
         }
     }
 }
@@ -511,7 +530,7 @@ fn supervise(
                 analysis: cfg.analysis,
             };
             let (analysis, report, cycle_trace, _log) = exec
-                .run_adaptive(&setup, &fcfg, monitor.as_ref())
+                .run(&setup, &fcfg, monitor.as_ref())
                 .map_err(CampaignError::Analysis)?;
             cycle_out = Some((report, cycle_trace));
             Ok(analysis)

@@ -77,54 +77,34 @@ pub struct DEnkf {
 }
 
 impl DEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`DEnkf::run`], additionally returning the execution trace: per rank
-    /// one read span per member bar (single-seek, full-width), one send
-    /// span per peer (the observation block) and one compute span (the
-    /// batched transform plus the shard update).
-    pub fn run_traced(
+    /// Run the assimilation; returns the analysis ensemble, the phase
+    /// timings, the execution trace and the fault log.
+    ///
+    /// The trace holds, per rank, one read span per member bar
+    /// (single-seek, full-width), one send span per peer (the observation
+    /// block) and one compute span (the batched transform plus the shard
+    /// update).
+    ///
+    /// With `FaultConfig::none()` nothing is injected. Under a seeded
+    /// plan, bar reads retry with backoff, unrecoverable members are
+    /// dropped when `faults.degraded` is set (every rank shrinks `S`/`D` to
+    /// the survivors — the N−1 path), stragglers dilate compute, message
+    /// delays stall the exchange, and crashes or message drops switch
+    /// receives to a timeout surfacing [`SubstrateError::RecvTimeout`]; a
+    /// rank whose peers all exited gets the typed
+    /// [`SubstrateError::PeerExited`] instead of a channel panic.
+    ///
+    /// With a [`HealthMonitor`], each shard reads members whose OST is
+    /// blacklisted last and routes bar reads through
+    /// [`read_region_adaptive`], so a degraded OST triggers a speculative
+    /// duplicate read against its replica; bars are collected keyed by
+    /// member and re-assembled ascending, so the reorder never reaches the
+    /// numerics. Observed dilation ratios feed the monitor; the caller
+    /// folds them with [`HealthMonitor::end_cycle`].
+    pub fn run(
         &self,
         setup: &AssimilationSetup<'_>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
-            .map(|(analysis, report, trace, _)| (analysis, report, trace))
-    }
-
-    /// [`DEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced` (byte-identical
-    /// trace digests). Under a seeded plan, bar reads retry with backoff,
-    /// unrecoverable members are dropped when `cfg.degraded` is set (every
-    /// rank shrinks `S`/`D` to the survivors — the N−1 path), stragglers
-    /// dilate compute, message delays stall the exchange, and crashes or
-    /// message drops switch receives to a timeout surfacing
-    /// [`SubstrateError::RecvTimeout`]; a rank whose peers all exited gets
-    /// the typed [`SubstrateError::PeerExited`] instead of a channel panic.
-    pub fn run_faulted(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`DEnkf::run_faulted`] with online health monitoring. Each shard
-    /// reads members whose OST is blacklisted last and routes bar reads
-    /// through [`read_region_adaptive`], so a degraded OST triggers a
-    /// speculative duplicate read against its replica; bars are collected
-    /// keyed by member and re-assembled ascending, so the reorder never
-    /// reaches the numerics. Observed dilation ratios feed the monitor;
-    /// the caller folds them with [`HealthMonitor::end_cycle`]. With
-    /// `monitor: None` this is byte-identical to [`DEnkf::run_faulted`].
-    pub fn run_adaptive(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
+        faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
@@ -133,12 +113,12 @@ impl DEnkf {
         let mesh = setup.mesh();
         let nranks = decomp.num_subdomains();
         let kernel = self.kernel;
-        let prep = prepare_faults(cfg, setup.members)?;
+        let prep = prepare_faults(faults, setup.members)?;
         let injector = &prep.injector;
         let dropped = &prep.dropped;
         let alive = &prep.alive;
         let use_timeout = prep.use_timeout;
-        let recv_timeout = cfg.recv_timeout;
+        let recv_timeout = faults.recv_timeout;
         let m_total = setup.observations.len();
         setup.observations.prepare();
         let t0 = Instant::now();
@@ -391,7 +371,9 @@ mod tests {
         let (_s, store, scenario) = harness(mesh, 6, 3);
         let st = setup(&store, &scenario, 6);
         for kernel in [BatchedKernel::Cholesky, BatchedKernel::ShermanMorrison] {
-            let (analysis, report) = DEnkf { shards: 4, kernel }.run(&st).unwrap();
+            let (analysis, report, _, _) = DEnkf { shards: 4, kernel }
+                .run(&st, &FaultConfig::none(), None)
+                .unwrap();
             let reference =
                 serial_denkf(&scenario.ensemble, &scenario.observations, kernel).unwrap();
             assert!(
@@ -413,9 +395,13 @@ mod tests {
         let (_s, store, scenario) = harness(mesh, 8, 17);
         let st = setup(&store, &scenario, 8);
         let kernel = BatchedKernel::ShermanMorrison;
-        let (one, _) = DEnkf { shards: 1, kernel }.run(&st).unwrap();
+        let (one, _, _, _) = DEnkf { shards: 1, kernel }
+            .run(&st, &FaultConfig::none(), None)
+            .unwrap();
         for shards in [2, 3, 4, 6, 12] {
-            let (sharded, _) = DEnkf { shards, kernel }.run(&st).unwrap();
+            let (sharded, _, _, _) = DEnkf { shards, kernel }
+                .run(&st, &FaultConfig::none(), None)
+                .unwrap();
             assert_eq!(
                 sharded.states().as_slice(),
                 one.states().as_slice(),
@@ -433,7 +419,7 @@ mod tests {
             shards: 5,
             kernel: BatchedKernel::Cholesky
         }
-        .run(&st)
+        .run(&st, &FaultConfig::none(), None)
         .is_err());
     }
 }

@@ -28,52 +28,32 @@ pub struct LEnkf {
 }
 
 impl LEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`LEnkf::run`], additionally returning the execution trace: rank 0
-    /// emits one full-file read span per member plus one send span per
-    /// (member, peer) scatter; every other rank emits wait spans for the
-    /// blocked receives. The report is the per-rank projection of the spans.
-    pub fn run_traced(
-        &self,
-        setup: &AssimilationSetup<'_>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
-            .map(|(analysis, report, trace, _)| (analysis, report, trace))
-    }
-
-    /// [`LEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced`. Under a seeded
+    /// Run the assimilation; returns the analysis ensemble, the phase
+    /// timings, the execution trace and the fault log.
+    ///
+    /// The trace: rank 0 emits one full-file read span per member plus one
+    /// send span per (member, peer) scatter; every other rank emits wait
+    /// spans for the blocked receives. The report is the per-rank
+    /// projection of the spans.
+    ///
+    /// With `FaultConfig::none()` nothing is injected. Under a seeded
     /// plan, rank 0's reads retry with backoff, unrecoverable members are
     /// dropped in degraded mode (peers then expect one bundle fewer),
     /// scheduled message delays stall the scatter sends, and crashes or
     /// message drops make peers receive with a timeout so they surface a
     /// typed error instead of hanging.
-    pub fn run_faulted(
+    ///
+    /// With a [`HealthMonitor`], rank 0 (the only reader) reads members
+    /// whose OST is blacklisted last and routes every read through
+    /// [`read_full_adaptive`], so a degraded OST triggers a speculative
+    /// duplicate against its replica. Receivers key incoming blocks by
+    /// member index, so the reorder never changes the analysis input.
+    /// Observed dilation ratios feed the monitor; the caller folds them
+    /// with [`HealthMonitor::end_cycle`].
+    pub fn run(
         &self,
         setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`LEnkf::run_faulted`] with online health monitoring. Rank 0 (the
-    /// only reader) reads members whose OST is blacklisted last and routes
-    /// every read through [`read_full_adaptive`], so a degraded OST
-    /// triggers a speculative duplicate against its replica. Receivers key
-    /// incoming blocks by member index, so the reorder never changes the
-    /// analysis input. Observed dilation ratios feed the monitor; the
-    /// caller folds them with [`HealthMonitor::end_cycle`]. With
-    /// `monitor: None` this is byte-identical to [`LEnkf::run_faulted`].
-    pub fn run_adaptive(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
+        faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
@@ -81,12 +61,12 @@ impl LEnkf {
         let mesh = setup.mesh();
         let radius = setup.analysis.radius;
         let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(cfg, setup.members)?;
+        let prep = prepare_faults(faults, setup.members)?;
         let injector = &prep.injector;
         let dropped = &prep.dropped;
         let alive = &prep.alive;
         let use_timeout = prep.use_timeout;
-        let recv_timeout = cfg.recv_timeout;
+        let recv_timeout = faults.recv_timeout;
         // Build the spatial observation index and perturbation cache once
         // per cycle, before the worker ranks start querying it.
         setup.observations.prepare();
@@ -286,8 +266,12 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(radius),
         };
-        let (l_analysis, l_report) = LEnkf { nsdx: 4, nsdy: 2 }.run(&setup).unwrap();
-        let (p_analysis, _) = PEnkf { nsdx: 4, nsdy: 2 }.run(&setup).unwrap();
+        let (l_analysis, l_report, _, _) = LEnkf { nsdx: 4, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
+        let (p_analysis, _, _, _) = PEnkf { nsdx: 4, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
         assert!(l_analysis.states().approx_eq(reference.states(), 1e-12));
         assert!(l_analysis.states().approx_eq(p_analysis.states(), 1e-12));
@@ -311,7 +295,9 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(radius),
         };
-        let (analysis, _) = LEnkf { nsdx: 1, nsdy: 1 }.run(&setup).unwrap();
+        let (analysis, _, _, _) = LEnkf { nsdx: 1, nsdy: 1 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
         assert!(analysis.states().approx_eq(reference.states(), 1e-12));
     }

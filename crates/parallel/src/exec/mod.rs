@@ -36,7 +36,7 @@ pub(crate) enum Msg {
     },
 }
 
-/// Pre-run fault resolution shared by the three real executors. All fields
+/// Pre-run fault resolution shared by the four real executors. All fields
 /// are pure functions of the [`FaultConfig`], so every rank thread reaches
 /// the same decisions without coordination.
 pub(crate) struct FaultPrep {

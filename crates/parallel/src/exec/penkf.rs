@@ -32,55 +32,43 @@ pub struct PEnkf {
 }
 
 impl PEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`PEnkf::run`], additionally returning the execution trace: one read
-    /// span per member block (bytes/seeks from the file layout, matching
-    /// what the DES model charges) and one compute span per rank. The
-    /// report's `PhaseBreakdown` is the per-rank projection of these spans.
+    /// [`PEnkf::run`] without faults or health monitoring, dropping the
+    /// empty fault log.
     pub fn run_traced(
         &self,
         setup: &AssimilationSetup<'_>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
+        self.run(setup, &FaultConfig::none(), None)
             .map(|(analysis, report, trace, _)| (analysis, report, trace))
     }
 
-    /// [`PEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced` (byte-identical
-    /// trace digests); under a seeded plan, reads retry with backoff,
-    /// unrecoverable members are dropped when `cfg.degraded` is set (the
-    /// cycle completes on the survivors), stragglers dilate compute, and
-    /// every injected fault lands in the returned [`FaultLog`].
-    pub fn run_faulted(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`PEnkf::run_faulted`] with online health monitoring. When a
-    /// [`HealthMonitor`] is supplied, each rank consults the monitor's
-    /// frozen [`RouteView`](enkf_health::RouteView) before every member
-    /// read: members on blacklisted OSTs are read last (the reorder is
+    /// Run the assimilation; returns the analysis ensemble, the phase
+    /// timings, the execution trace and the fault log.
+    ///
+    /// The trace holds one read span per member block (bytes/seeks from
+    /// the file layout, matching what the DES model charges) and one
+    /// compute span per rank. The report's `PhaseBreakdown` is the
+    /// per-rank projection of these spans.
+    ///
+    /// With `FaultConfig::none()` nothing is injected. Under a seeded
+    /// plan, reads retry with backoff, unrecoverable members are dropped
+    /// when `faults.degraded` is set (the cycle completes on the
+    /// survivors), stragglers dilate compute, and every injected fault
+    /// lands in the returned [`FaultLog`].
+    ///
+    /// With a [`HealthMonitor`], each rank consults the monitor's frozen
+    /// [`RouteView`](enkf_health::RouteView) before every member read:
+    /// members on blacklisted OSTs are read last (the reorder is
     /// digest-neutral and, because blocks are keyed by member before the
     /// analysis, numerically invisible) and routed through
     /// [`read_region_adaptive`] so a degraded OST triggers a speculative
     /// duplicate read against its replica. Observed read-dilation and
     /// compute-dilation ratios are fed back into the monitor; the caller
-    /// folds them at the cycle boundary with
-    /// [`HealthMonitor::end_cycle`]. With `monitor: None` this is
-    /// byte-identical to [`PEnkf::run_faulted`].
-    pub fn run_adaptive(
+    /// folds them at the cycle boundary with [`HealthMonitor::end_cycle`].
+    pub fn run(
         &self,
         setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
+        faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
@@ -88,7 +76,7 @@ impl PEnkf {
         let mesh = setup.mesh();
         let radius = setup.analysis.radius;
         let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(cfg, setup.members)?;
+        let prep = prepare_faults(faults, setup.members)?;
         let injector = &prep.injector;
         let dropped = &prep.dropped;
         let alive = &prep.alive;
@@ -214,7 +202,9 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(radius),
         };
-        let (analysis, report) = PEnkf { nsdx: 3, nsdy: 2 }.run(&setup).unwrap();
+        let (analysis, report, _, _) = PEnkf { nsdx: 3, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
         assert!(
             analysis.states().approx_eq(reference.states(), 1e-12),
@@ -240,8 +230,12 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(radius),
         };
-        let (a, _) = PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).unwrap();
-        let (b, _) = PEnkf { nsdx: 4, nsdy: 3 }.run(&setup).unwrap();
+        let (a, _, _, _) = PEnkf { nsdx: 2, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
+        let (b, _, _, _) = PEnkf { nsdx: 4, nsdy: 3 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         assert!(a.states().approx_eq(b.states(), 1e-12));
     }
 
@@ -255,6 +249,8 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 }),
         };
-        assert!(PEnkf { nsdx: 5, nsdy: 2 }.run(&setup).is_err());
+        assert!(PEnkf { nsdx: 5, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .is_err());
     }
 }

@@ -52,56 +52,47 @@ impl SEnkf {
         SEnkf { params }
     }
 
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings (compute ranks and I/O ranks reported separately).
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`SEnkf::run`], additionally returning the execution trace: per I/O
-    /// rank one read span per (stage, group file) — a single-seek bar — and
-    /// one send span per (stage, compute peer); per compute rank one wait
-    /// and one compute span per stage. The report's per-class
-    /// `PhaseBreakdown`s are projections of these spans.
+    /// [`SEnkf::run`] without faults or health monitoring, dropping the
+    /// empty fault log.
     pub fn run_traced(
         &self,
         setup: &AssimilationSetup<'_>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
+        self.run(setup, &FaultConfig::none(), None)
             .map(|(analysis, report, trace, _)| (analysis, report, trace))
     }
 
-    /// [`SEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced`. Under a seeded
+    /// Run the assimilation; returns the analysis ensemble, the phase
+    /// timings (compute ranks and I/O ranks reported separately), the
+    /// execution trace and the fault log.
+    ///
+    /// The trace holds, per I/O rank, one read span per (stage, group
+    /// file) — a single-seek bar — and one send span per (stage, compute
+    /// peer); per compute rank one wait and one compute span per stage.
+    /// The report's per-class `PhaseBreakdown`s are projections of these
+    /// spans.
+    ///
+    /// With `FaultConfig::none()` nothing is injected. Under a seeded
     /// plan, I/O-rank bar reads retry with backoff, unrecoverable members
     /// are dropped in degraded mode (bundles shrink to the group's
     /// survivors; compute ranks assemble `N − |dropped|` columns),
     /// stragglers dilate compute, message delays stall sends, and crashes
     /// or message drops switch receives to a timeout that surfaces
     /// [`SubstrateError::RecvTimeout`] instead of hanging.
-    pub fn run_faulted(
+    ///
+    /// With a [`HealthMonitor`], each I/O rank reorders its group's member
+    /// list so blacklisted-OST members are read last (bundles carry
+    /// explicit member indices and the helper thread places columns by
+    /// member, so the reorder never reaches the numerics), and every bar
+    /// read goes through the adaptive route — a blacklisted OST triggers a
+    /// deterministic speculative duplicate read against its replica.
+    /// Observed read and compute dilation ratios feed the monitor; the
+    /// caller folds them at the cycle boundary with
+    /// [`HealthMonitor::end_cycle`].
+    pub fn run(
         &self,
         setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`SEnkf::run_faulted`] with online health monitoring. Each I/O rank
-    /// reorders its group's member list so blacklisted-OST members are read
-    /// last (bundles carry explicit member indices and the helper thread
-    /// places columns by member, so the reorder never reaches the
-    /// numerics), and every bar read goes through the adaptive route —
-    /// a blacklisted OST triggers a deterministic speculative duplicate
-    /// read against its replica. Observed read and compute dilation ratios
-    /// feed the monitor; the caller folds them at the cycle boundary with
-    /// [`HealthMonitor::end_cycle`]. With `monitor: None` this is
-    /// byte-identical to [`SEnkf::run_faulted`].
-    pub fn run_adaptive(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
+        faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
@@ -122,12 +113,12 @@ impl SEnkf {
         let c1 = p.ncg * p.nsdy;
         let nranks = c1 + c2;
         let files_per_group = setup.members / p.ncg;
-        let prep = prepare_faults(cfg, setup.members)?;
+        let prep = prepare_faults(faults, setup.members)?;
         let injector = &prep.injector;
         let dropped = &prep.dropped;
         let alive = &prep.alive;
         let use_timeout = prep.use_timeout;
-        let recv_timeout = cfg.recv_timeout;
+        let recv_timeout = faults.recv_timeout;
         // Global member index → column of the (possibly reduced) X̄ᵇ.
         let alive_cols: BTreeMap<usize, usize> =
             alive.iter().enumerate().map(|(c, &k)| (k, c)).collect();
@@ -534,7 +525,7 @@ mod tests {
             layers: 2,
             ncg: 2,
         });
-        let (analysis, report) = senkf.run(&setup).unwrap();
+        let (analysis, report, _, _) = senkf.run(&setup, &FaultConfig::none(), None).unwrap();
         let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
         assert!(
             analysis.states().approx_eq(reference.states(), 1e-12),
@@ -562,7 +553,9 @@ mod tests {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(radius),
         };
-        let (p_analysis, _) = PEnkf { nsdx: 4, nsdy: 3 }.run(&setup).unwrap();
+        let (p_analysis, _, _, _) = PEnkf { nsdx: 4, nsdy: 3 }
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         for (layers, ncg) in [(1, 1), (2, 2), (4, 4), (2, 8)] {
             let senkf = SEnkf::new(Params {
                 nsdx: 4,
@@ -570,7 +563,7 @@ mod tests {
                 layers,
                 ncg,
             });
-            let (analysis, _) = senkf.run(&setup).unwrap();
+            let (analysis, _, _, _) = senkf.run(&setup, &FaultConfig::none(), None).unwrap();
             assert!(
                 analysis.states().approx_eq(p_analysis.states(), 1e-12),
                 "S-EnKF(L={layers}, ncg={ncg}) differs from P-EnKF"
@@ -596,7 +589,7 @@ mod tests {
             layers: 2,
             ncg: 4,
         });
-        assert!(senkf.run(&setup).is_err());
+        assert!(senkf.run(&setup, &FaultConfig::none(), None).is_err());
     }
 
     #[test]
@@ -617,6 +610,6 @@ mod tests {
             layers: 3,
             ncg: 2,
         });
-        assert!(senkf.run(&setup).is_err());
+        assert!(senkf.run(&setup, &FaultConfig::none(), None).is_err());
     }
 }

@@ -34,6 +34,15 @@
 //!   assimilated in one batched covariance-form update whose `C⁻¹` kernel
 //!   is selectable (dense Cholesky or the iterative Sherman-Morrison of
 //!   arXiv 1302.3876).
+//!
+//! One value, [`CampaignExecutor`], names a variant with its configuration
+//! in both worlds. [`CampaignExecutor::run`] runs one cycle on the real
+//! executor and [`CampaignExecutor::model`] runs its DES mirror; each
+//! takes a [`enkf_fault::FaultConfig`] (`FaultConfig::none()` for a clean
+//! cycle) and an optional [`enkf_health::HealthMonitor`], and both return
+//! the trace and fault log whose digests the conformance suites compare.
+//! The per-variant structs ([`LEnkf`], [`PEnkf`], [`SEnkf`], [`DEnkf`])
+//! each have the one `run` the dispatch calls.
 
 pub mod campaign;
 pub mod exec;
@@ -54,19 +63,8 @@ pub use model::campaign::{
     model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan, CyclePrice,
     ModelVariant,
 };
-pub use model::denkf::{
-    model_denkf, model_denkf_adaptive, model_denkf_faulted, model_denkf_traced,
-};
-pub use model::lenkf::{
-    model_lenkf, model_lenkf_adaptive, model_lenkf_faulted, model_lenkf_traced,
-};
-pub use model::penkf::{
-    model_penkf, model_penkf_adaptive, model_penkf_faulted, model_penkf_traced,
-};
-pub use model::senkf::{
-    model_senkf, model_senkf_adaptive, model_senkf_adaptive_opts, model_senkf_faulted,
-    model_senkf_faulted_opts, model_senkf_opts, model_senkf_opts_traced, model_senkf_traced,
-    SEnkfModelOptions,
-};
+pub use model::lenkf::model_lenkf_traced;
+pub use model::penkf::model_penkf_traced;
+pub use model::senkf::model_senkf_traced;
 pub use model::{ModelConfig, ModelOutcome};
 pub use report::{ExecutionReport, PhaseBreakdown};

@@ -28,52 +28,18 @@
 //! baseline: a crash throws away *all* completed cycles, which is the
 //! comparison the Fig. 14-style MTTR sweep in `scripts/bench.sh` plots.
 
-use super::penkf::model_penkf_adaptive;
-use super::senkf::{model_senkf_adaptive_opts, SEnkfModelOptions};
 use super::{ModelConfig, ModelOutcome};
+use crate::CampaignExecutor;
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthSnapshot};
 use enkf_trace::{Op, Role, Span, Trace};
-use enkf_tuning::Params;
 use std::collections::BTreeSet;
 
-/// Which modeled executor the campaign drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelVariant {
-    /// Single-reader baseline.
-    LEnkf {
-        /// Sub-domains along longitude.
-        nsdx: usize,
-        /// Sub-domains along latitude.
-        nsdy: usize,
-    },
-    /// Block-reading baseline.
-    PEnkf {
-        /// Sub-domains along longitude.
-        nsdx: usize,
-        /// Sub-domains along latitude.
-        nsdy: usize,
-    },
-    /// The co-designed variant.
-    SEnkf(Params),
-    /// The distributed-array non-sequential executor.
-    DEnkf {
-        /// State shards (= ranks).
-        shards: usize,
-    },
-}
-
-impl ModelVariant {
-    fn layers(&self) -> usize {
-        match *self {
-            ModelVariant::LEnkf { .. }
-            | ModelVariant::PEnkf { .. }
-            | ModelVariant::DEnkf { .. } => 1,
-            ModelVariant::SEnkf(p) => p.layers,
-        }
-    }
-}
+/// The variant value a modeled campaign drives: the same
+/// [`CampaignExecutor`] the real supervisor runs. The alias stays because
+/// the repository benchmark (`perfbench`) names it.
+pub type ModelVariant = CampaignExecutor;
 
 /// Campaign-level plan for the model.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +105,7 @@ pub struct CampaignModelOutcome {
 /// a campaign trace whose per-cycle digests equal the real supervisor's.
 pub fn model_campaign(
     cfg: &ModelConfig,
-    variant: &ModelVariant,
+    variant: &CampaignExecutor,
     camp: &CampaignModelPlan,
     fcfg: &FaultConfig,
 ) -> Result<(CampaignModelOutcome, Trace), String> {
@@ -160,7 +126,7 @@ pub fn model_campaign(
 /// the real adaptive campaign's.
 pub fn model_campaign_adaptive(
     cfg: &ModelConfig,
-    variant: &ModelVariant,
+    variant: &CampaignExecutor,
     camp: &CampaignModelPlan,
     fcfg: &FaultConfig,
     monitor: Option<&mut HealthMonitor>,
@@ -184,7 +150,7 @@ pub fn model_campaign_adaptive(
 #[derive(Debug)]
 pub struct CyclePrice<'a> {
     cfg: &'a ModelConfig,
-    variant: &'a ModelVariant,
+    variant: &'a CampaignExecutor,
     camp: &'a CampaignModelPlan,
     fcfg: &'a FaultConfig,
     /// The per-cycle fault configuration: the campaign plan's non-cycle
@@ -214,7 +180,7 @@ impl<'a> CyclePrice<'a> {
     /// [`CyclePrice::stitch`] names its own cycle count.
     pub fn new(
         cfg: &'a ModelConfig,
-        variant: &'a ModelVariant,
+        variant: &'a CampaignExecutor,
         camp: &'a CampaignModelPlan,
         fcfg: &'a FaultConfig,
     ) -> Result<Self, String> {
@@ -231,7 +197,7 @@ impl<'a> CyclePrice<'a> {
         // attempts in both modes; it is also the replayed cycle when no
         // monitor is attached. Run monitor-free so pricing feeds no
         // observations.
-        let (cycle, cycle_trace) = run_cycle_model(cfg, variant, &cycle_fcfg, None)?;
+        let (cycle, cycle_trace, _) = variant.model(cfg, &cycle_fcfg, None)?;
 
         let member_bytes = 8 * (cfg.workload.nx * cfg.workload.ny) as u64;
         let member_service = cfg.pfs.read_service(1, member_bytes);
@@ -251,8 +217,8 @@ impl<'a> CyclePrice<'a> {
             let m = cycle.makespan;
             if streams > 1 {
                 let share = (streams - 1) as f64 / streams as f64;
-                let (shared, _tr) =
-                    run_cycle_model(&cfg.with_bandwidth_share(share), variant, &cycle_fcfg, None)?;
+                let (shared, _, _) =
+                    variant.model(&cfg.with_bandwidth_share(share), &cycle_fcfg, None)?;
                 let dilation = (shared.makespan - m).max(0.0) * checkpoint_time.min(m)
                     / m.max(f64::MIN_POSITIVE);
                 (dilation, (checkpoint_time - m).max(0.0))
@@ -431,8 +397,7 @@ impl<'a> CyclePrice<'a> {
                     // Adaptive: this cycle's reads follow the current
                     // frozen view, so the DES must be rebuilt, and the
                     // boundary fold refreezes the view for the next cycle.
-                    let (out, tr) =
-                        run_cycle_model(cfg, self.variant, &self.cycle_fcfg, Some(mon))?;
+                    let (out, tr, _) = self.variant.model(cfg, &self.cycle_fcfg, Some(mon))?;
                     if sink.is_some() {
                         cycle_digests.push(fnv64(tr.digest().as_bytes()));
                     }
@@ -489,29 +454,4 @@ impl<'a> CyclePrice<'a> {
             health_snapshots,
         })
     }
-}
-
-/// One single-cycle DES of `variant` under `cycle_fcfg`, adaptive when a
-/// monitor is given.
-fn run_cycle_model(
-    cfg: &ModelConfig,
-    variant: &ModelVariant,
-    cycle_fcfg: &FaultConfig,
-    mon: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace), String> {
-    let (out, tr, _log) = match *variant {
-        ModelVariant::LEnkf { nsdx, nsdy } => {
-            super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, cycle_fcfg, mon)?
-        }
-        ModelVariant::PEnkf { nsdx, nsdy } => {
-            model_penkf_adaptive(cfg, nsdx, nsdy, cycle_fcfg, mon)?
-        }
-        ModelVariant::SEnkf(p) => {
-            model_senkf_adaptive_opts(cfg, p, SEnkfModelOptions::default(), cycle_fcfg, mon)?
-        }
-        ModelVariant::DEnkf { shards } => {
-            super::denkf::model_denkf_adaptive(cfg, shards, cycle_fcfg, mon)?
-        }
-    };
-    Ok((out, tr))
 }

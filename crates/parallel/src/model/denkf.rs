@@ -19,42 +19,24 @@ use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, Trace};
 
 /// Build and run the DES for a D-EnKF assimilation with `shards` state
-/// shards (= ranks).
-pub fn model_denkf(cfg: &ModelConfig, shards: usize) -> Result<ModelOutcome, String> {
-    model_denkf_traced(cfg, shards).map(|(out, _)| out)
-}
-
-/// [`model_denkf`], additionally returning the virtual-time execution
-/// trace, whose operation digest matches the real [`crate::DEnkf`]'s.
-pub fn model_denkf_traced(
-    cfg: &ModelConfig,
-    shards: usize,
-) -> Result<(ModelOutcome, Trace), String> {
-    model_denkf_faulted(cfg, shards, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_denkf_traced`] under a fault plan: reads are woven through the
-/// same attempt/backoff loop as the real resilient read path, dropped
-/// members shrink the exchanged blocks to the survivors, stragglers dilate
-/// compute, and message delays stall the exchange sends. Crash and
-/// message-drop plans are rejected — the real executor cannot complete
-/// them either (peers time out), so a "completed" model would lie.
-pub fn model_denkf_faulted(
-    cfg: &ModelConfig,
-    shards: usize,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_denkf_adaptive(cfg, shards, fcfg, None)
-}
-
-/// [`model_denkf_faulted`] with online health monitoring: every shard's bar
-/// reads are routed through the same frozen view the real adaptive executor
-/// consults (blacklisted-OST members last, speculative duplicates marked
-/// and charged at the race winner's OST and factor), with identical
-/// `(ost, member, ratio)` observations fed back — real and modeled trace,
-/// fault and health digests are byte-identical under a common seed. With
-/// `monitor: None` this is [`model_denkf_faulted`].
-pub fn model_denkf_adaptive(
+/// shards (= ranks). The trace's operation digest matches the real
+/// [`crate::DEnkf`]'s. The `C⁻¹` kernel changes flops, not operation
+/// structure, so the model takes no kernel: one DES prices both.
+///
+/// Under a fault plan, reads are woven through the same attempt/backoff
+/// loop as the real resilient read path, dropped members shrink the
+/// exchanged blocks to the survivors, stragglers dilate compute, and
+/// message delays stall the exchange sends. Crash and message-drop plans
+/// are rejected — the real executor cannot complete them either (peers
+/// time out), so a "completed" model would lie.
+///
+/// With a monitor, every shard's bar reads are routed through the same
+/// frozen view the real executor consults (blacklisted-OST members last,
+/// speculative duplicates marked and charged at the race winner's OST and
+/// factor), with identical `(ost, member, ratio)` observations fed back —
+/// real and modeled trace, fault and health digests are byte-identical
+/// under a common seed.
+pub(crate) fn model_denkf_adaptive(
     cfg: &ModelConfig,
     shards: usize,
     fcfg: &FaultConfig,
@@ -197,6 +179,11 @@ mod tests {
     use super::*;
     use enkf_tuning::Workload;
 
+    /// The DES outcome, fault- and monitor-free.
+    fn des(cfg: &ModelConfig, shards: usize) -> Result<ModelOutcome, String> {
+        model_denkf_adaptive(cfg, shards, &FaultConfig::none(), None).map(|(out, _, _)| out)
+    }
+
     fn small_cfg() -> ModelConfig {
         ModelConfig {
             workload: Workload {
@@ -214,7 +201,7 @@ mod tests {
     #[test]
     fn produces_sane_phases() {
         let cfg = small_cfg();
-        let out = model_denkf(&cfg, 8).unwrap();
+        let out = des(&cfg, 8).unwrap();
         assert!(out.makespan > 0.0);
         assert!(out.compute_mean.read > 0.0);
         assert!(out.compute_mean.comm > 0.0, "the exchange must be modeled");
@@ -228,8 +215,8 @@ mod tests {
         // Full-width bars are contiguous: per-rank read time must not blow
         // up with shard count the way P-EnKF's partial-width blocks do.
         let cfg = small_cfg();
-        let few = model_denkf(&cfg, 4).unwrap();
-        let many = model_denkf(&cfg, 24).unwrap();
+        let few = des(&cfg, 4).unwrap();
+        let many = des(&cfg, 24).unwrap();
         // Each of the 24 shards reads 1/6 the bytes of each of the 4.
         assert!(many.compute_mean.read < few.compute_mean.read);
     }
@@ -237,8 +224,8 @@ mod tests {
     #[test]
     fn exchange_grows_with_shard_count() {
         let cfg = small_cfg();
-        let few = model_denkf(&cfg, 2).unwrap();
-        let many = model_denkf(&cfg, 12).unwrap();
+        let few = des(&cfg, 2).unwrap();
+        let many = des(&cfg, 12).unwrap();
         // More peers → more blocks on the wire (total comm grows even as
         // each block shrinks).
         assert!(many.compute_mean.comm * 12.0 > few.compute_mean.comm * 2.0);
@@ -247,6 +234,6 @@ mod tests {
     #[test]
     fn invalid_shard_count_errors() {
         let cfg = small_cfg();
-        assert!(model_denkf(&cfg, 7).is_err());
+        assert!(des(&cfg, 7).is_err());
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
+use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
 use enkf_health::HealthMonitor;
@@ -21,45 +22,36 @@ use enkf_pfs::ModeledPfs;
 use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, Trace};
 
-/// Build and run the DES for an L-EnKF assimilation with an
-/// `n_sdx × n_sdy` decomposition (rank 0 is the only reader).
-pub fn model_lenkf(cfg: &ModelConfig, nsdx: usize, nsdy: usize) -> Result<ModelOutcome, String> {
-    model_lenkf_traced(cfg, nsdx, nsdy).map(|(out, _)| out)
-}
-
-/// [`model_lenkf`], additionally returning the virtual-time execution
-/// trace, whose operation digest matches the real [`crate::LEnkf`]'s.
+/// [`CampaignExecutor::model`] for L-EnKF without faults or health
+/// monitoring, dropping the empty fault log.
 pub fn model_lenkf_traced(
     cfg: &ModelConfig,
     nsdx: usize,
     nsdy: usize,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_lenkf_faulted(cfg, nsdx, nsdy, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
+    CampaignExecutor::LEnkf { nsdx, nsdy }
+        .model(cfg, &FaultConfig::none(), None)
+        .map(|(out, trace, _)| (out, trace))
 }
 
-/// [`model_lenkf_traced`] under a fault plan: rank 0's reads are woven
-/// through the resilient attempt/backoff loop, dropped members contribute
-/// only their failed attempts (and no scatter), stragglers dilate compute
-/// and message delays stall the scatter sends. Crash and message-drop
-/// plans are rejected — the real executor's peers time out under them, so
-/// a "completed" model would lie.
-pub fn model_lenkf_faulted(
-    cfg: &ModelConfig,
-    nsdx: usize,
-    nsdy: usize,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_lenkf_adaptive(cfg, nsdx, nsdy, fcfg, None)
-}
-
-/// [`model_lenkf_faulted`] with online health monitoring: rank 0 reads
-/// blacklisted-OST members last and routes every read through the shared
-/// [`crate::model::weave_member_read`] decision procedure (speculative
-/// duplicates marked and charged at the race winner's OST and factor),
-/// with identical `(ost, member, ratio)` observations fed back — real and
-/// modeled trace, fault and health digests are byte-identical under a
-/// common seed. With `monitor: None` this is [`model_lenkf_faulted`].
-pub fn model_lenkf_adaptive(
+/// Build and run the DES for an L-EnKF assimilation with an
+/// `n_sdx × n_sdy` decomposition (rank 0 is the only reader). The trace's
+/// operation digest matches the real [`crate::LEnkf`]'s.
+///
+/// Under a fault plan, rank 0's reads are woven through the resilient
+/// attempt/backoff loop, dropped members contribute only their failed
+/// attempts (and no scatter), stragglers dilate compute and message delays
+/// stall the scatter sends. Crash and message-drop plans are rejected —
+/// the real executor's peers time out under them, so a "completed" model
+/// would lie.
+///
+/// With a monitor, rank 0 reads blacklisted-OST members last and routes
+/// every read through the shared [`crate::model::weave_member_read`]
+/// decision procedure (speculative duplicates marked and charged at the
+/// race winner's OST and factor), with identical `(ost, member, ratio)`
+/// observations fed back — real and modeled trace, fault and health
+/// digests are byte-identical under a common seed.
+pub(crate) fn model_lenkf_adaptive(
     cfg: &ModelConfig,
     nsdx: usize,
     nsdy: usize,
@@ -189,7 +181,7 @@ pub fn model_lenkf_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::penkf::model_penkf;
+    use crate::model::penkf::model_penkf_traced;
     use enkf_tuning::Workload;
 
     fn small_cfg() -> ModelConfig {
@@ -209,7 +201,7 @@ mod tests {
     #[test]
     fn produces_sane_phases() {
         let cfg = small_cfg();
-        let out = model_lenkf(&cfg, 8, 6).unwrap();
+        let out = model_lenkf_traced(&cfg, 8, 6).unwrap().0;
         assert!(out.makespan > 0.0);
         assert!(out.compute_mean.read > 0.0, "rank 0 reads");
         assert!(out.compute_mean.comm > 0.0, "the scatter must be modeled");
@@ -223,8 +215,8 @@ mod tests {
         // §3.1/§6: one reader cannot use the parallel file system, so the
         // serialized reads must dominate P-EnKF's parallel block reads.
         let cfg = small_cfg();
-        let l = model_lenkf(&cfg, 8, 6).unwrap();
-        let p = model_penkf(&cfg, 8, 6).unwrap();
+        let l = model_lenkf_traced(&cfg, 8, 6).unwrap().0;
+        let p = model_penkf_traced(&cfg, 8, 6).unwrap().0;
         assert!(
             l.makespan > p.makespan,
             "L-EnKF {} must exceed P-EnKF {}",
@@ -236,6 +228,6 @@ mod tests {
     #[test]
     fn invalid_decomposition_errors() {
         let cfg = small_cfg();
-        assert!(model_lenkf(&cfg, 7, 5).is_err());
+        assert!(model_lenkf_traced(&cfg, 7, 5).is_err());
     }
 }

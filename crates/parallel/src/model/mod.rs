@@ -8,12 +8,13 @@ pub mod reading;
 pub mod senkf;
 
 use crate::report::PhaseBreakdown;
-use enkf_fault::FaultInjector;
+use crate::CampaignExecutor;
+use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_net::NetParams;
 use enkf_pfs::{ModeledPfs, PfsParams};
 use enkf_sim::{AgentId, Kind, ResourceId, Simulation, Task};
-use enkf_trace::OpTag;
+use enkf_trace::{OpTag, Trace};
 use enkf_tuning::Workload;
 
 /// The OST resource hosting OST index `ost` (mirrors the real side's
@@ -262,5 +263,34 @@ impl ModelOutcome {
             return 0.0;
         }
         (1.0 - self.first_compute_start / self.makespan).clamp(0.0, 1.0)
+    }
+}
+
+impl CampaignExecutor {
+    /// Run one assimilation cycle of this variant as a discrete-event
+    /// model: the DES mirror of [`CampaignExecutor::run`]. Under a common
+    /// fault plan (and monitor state) the trace, fault-log and health
+    /// digests are byte-identical to the real executor's. D-EnKF's `kernel`
+    /// is not read: it changes flops, not operation structure.
+    pub fn model(
+        &self,
+        cfg: &ModelConfig,
+        faults: &FaultConfig,
+        monitor: Option<&HealthMonitor>,
+    ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+        match *self {
+            CampaignExecutor::LEnkf { nsdx, nsdy } => {
+                lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, faults, monitor)
+            }
+            CampaignExecutor::PEnkf { nsdx, nsdy } => {
+                penkf::model_penkf_adaptive(cfg, nsdx, nsdy, faults, monitor)
+            }
+            CampaignExecutor::SEnkf(p) => {
+                senkf::model_senkf_adaptive(cfg, p, true, faults, monitor)
+            }
+            CampaignExecutor::DEnkf { shards, .. } => {
+                denkf::model_denkf_adaptive(cfg, shards, faults, monitor)
+            }
+        }
     }
 }

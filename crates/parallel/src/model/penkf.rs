@@ -2,6 +2,7 @@
 
 use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
+use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh};
 use enkf_health::HealthMonitor;
@@ -9,55 +10,45 @@ use enkf_pfs::ModeledPfs;
 use enkf_sim::{Kind, Simulation, Task};
 use enkf_trace::{OpTag, Trace};
 
-/// Build and run the DES for a P-EnKF assimilation with an
-/// `n_sdx × n_sdy` decomposition.
-///
-/// Every rank issues one block read per member file (partial-width region:
-/// one disk addressing operation per latitude row — the `O(n_y · n_sdx)`
-/// pattern of §4.1.1) and then a single local-analysis task.
-pub fn model_penkf(cfg: &ModelConfig, nsdx: usize, nsdy: usize) -> Result<ModelOutcome, String> {
-    model_penkf_traced(cfg, nsdx, nsdy).map(|(out, _)| out)
-}
-
-/// [`model_penkf`], additionally returning the virtual-time execution trace.
-///
-/// Every DES task carries an [`OpTag`] describing the operation it models
-/// (member read with its layout-derived bytes/seeks, or local analysis), so
-/// the exported trace is directly comparable with the real executor's: the
-/// operation digests must match line for line.
+/// [`CampaignExecutor::model`] for P-EnKF without faults or health
+/// monitoring, dropping the empty fault log.
 pub fn model_penkf_traced(
     cfg: &ModelConfig,
     nsdx: usize,
     nsdy: usize,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_penkf_faulted(cfg, nsdx, nsdy, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
+    CampaignExecutor::PEnkf { nsdx, nsdy }
+        .model(cfg, &FaultConfig::none(), None)
+        .map(|(out, trace, _)| (out, trace))
 }
 
-/// [`model_penkf_traced`] under a fault plan: the same attempt/backoff
-/// weave the real executor performs is built into the DES graph (injected
-/// failures become `Kind::Fault` tasks holding the member's OST, backoffs
-/// agent-local `Kind::Fault` tasks), OST slowdowns dilate read services,
-/// stragglers dilate compute, and dropped members contribute only their
-/// failed attempts. Under the same seeded plan, the exported trace's
-/// operation digest and the returned [`FaultLog`]'s digest match the real
+/// Build and run the DES for a P-EnKF assimilation with an
+/// `n_sdx × n_sdy` decomposition.
+///
+/// Every rank issues one block read per member file (partial-width region:
+/// one disk addressing operation per latitude row — the `O(n_y · n_sdx)`
+/// pattern of §4.1.1) and then a single local-analysis task. Every DES
+/// task carries an [`OpTag`] describing the operation it models (member
+/// read with its layout-derived bytes/seeks, or local analysis), so the
+/// exported trace is directly comparable with the real executor's: the
+/// operation digests must match line for line.
+///
+/// Under a fault plan, the same attempt/backoff weave the real executor
+/// performs is built into the DES graph (injected failures become
+/// `Kind::Fault` tasks holding the member's OST, backoffs agent-local
+/// `Kind::Fault` tasks), OST slowdowns dilate read services, stragglers
+/// dilate compute, and dropped members contribute only their failed
+/// attempts. Under the same seeded plan, the exported trace's operation
+/// digest and the returned [`FaultLog`]'s digest match the real
 /// executor's.
-pub fn model_penkf_faulted(
-    cfg: &ModelConfig,
-    nsdx: usize,
-    nsdy: usize,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_penkf_adaptive(cfg, nsdx, nsdy, fcfg, None)
-}
-
-/// [`model_penkf_faulted`] with online health monitoring: the DES weaves
-/// the *same* routing decisions the real adaptive executor makes from the
-/// monitor's frozen view — blacklisted-OST members read last, speculative
-/// duplicates marked and charged at the race winner's OST and factor, and
-/// identical `(ost, member, ratio)` observations fed back. Under a common
-/// seed and view, real and modeled trace, fault and health digests are
-/// byte-identical. With `monitor: None` this is [`model_penkf_faulted`].
-pub fn model_penkf_adaptive(
+///
+/// With a monitor, the DES weaves the *same* routing decisions the real
+/// executor makes from the monitor's frozen view — blacklisted-OST members
+/// read last, speculative duplicates marked and charged at the race
+/// winner's OST and factor, and identical `(ost, member, ratio)`
+/// observations fed back. Under a common seed and view, real and modeled
+/// trace, fault and health digests are byte-identical.
+pub(crate) fn model_penkf_adaptive(
     cfg: &ModelConfig,
     nsdx: usize,
     nsdy: usize,
@@ -173,7 +164,7 @@ mod tests {
     #[test]
     fn produces_sane_phases() {
         let cfg = small_cfg();
-        let out = model_penkf(&cfg, 8, 6).unwrap();
+        let out = model_penkf_traced(&cfg, 8, 6).unwrap().0;
         assert!(out.makespan > 0.0);
         assert!(out.compute_mean.read > 0.0);
         assert!(out.compute_mean.compute > 0.0);
@@ -189,8 +180,8 @@ mod tests {
         // The block-reading seek count is O(n_y · n_sdx): doubling nsdx at
         // fixed rank count must increase the mean read time (Fig. 5).
         let cfg = small_cfg();
-        let narrow = model_penkf(&cfg, 6, 8).unwrap();
-        let wide = model_penkf(&cfg, 24, 2).unwrap();
+        let narrow = model_penkf_traced(&cfg, 6, 8).unwrap().0;
+        let wide = model_penkf_traced(&cfg, 24, 2).unwrap().0;
         assert!(
             wide.compute_mean.read > narrow.compute_mean.read,
             "wide {} vs narrow {}",
@@ -202,14 +193,14 @@ mod tests {
     #[test]
     fn compute_shrinks_with_more_ranks() {
         let cfg = small_cfg();
-        let few = model_penkf(&cfg, 4, 3).unwrap();
-        let many = model_penkf(&cfg, 8, 6).unwrap();
+        let few = model_penkf_traced(&cfg, 4, 3).unwrap().0;
+        let many = model_penkf_traced(&cfg, 8, 6).unwrap().0;
         assert!(many.compute_mean.compute < few.compute_mean.compute);
     }
 
     #[test]
     fn invalid_decomposition_errors() {
         let cfg = small_cfg();
-        assert!(model_penkf(&cfg, 7, 6).is_err());
+        assert!(model_penkf_traced(&cfg, 7, 6).is_err());
     }
 }

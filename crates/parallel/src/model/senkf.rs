@@ -2,6 +2,7 @@
 
 use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
+use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, SubDomainId};
 use enkf_health::HealthMonitor;
@@ -10,6 +11,17 @@ use enkf_pfs::ModeledPfs;
 use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, Trace};
 use enkf_tuning::Params;
+
+/// [`CampaignExecutor::model`] for S-EnKF without faults or health
+/// monitoring, dropping the empty fault log.
+pub fn model_senkf_traced(
+    cfg: &ModelConfig,
+    params: Params,
+) -> Result<(ModelOutcome, Trace), String> {
+    CampaignExecutor::SEnkf(params)
+        .model(cfg, &FaultConfig::none(), None)
+        .map(|(out, trace, _)| (out, trace))
+}
 
 /// Build and run the DES for an S-EnKF assimilation with parameters
 /// `(n_sdx, n_sdy, L, n_cg)`.
@@ -20,107 +32,35 @@ use enkf_tuning::Params;
 /// sender, queued on the receiver's NIC — the natural origin of Eq. 8's
 /// `n_sdx` and tree factors). Compute rank `(i, j)`'s stage-`l` analysis
 /// depends only on the `n_cg` bundles for stage `l`, so stage `l+1` I/O
-/// overlaps stage `l` computation exactly as in Fig. 7.
-pub fn model_senkf(cfg: &ModelConfig, params: Params) -> Result<ModelOutcome, String> {
-    model_senkf_opts(cfg, params, SEnkfModelOptions::default())
-}
-
-/// Ablation switches for the modeled S-EnKF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SEnkfModelOptions {
-    /// With the helper thread (the paper's design, default) block ingestion
-    /// proceeds concurrently with the main thread's local analyses. Without
-    /// it, each stage's communication is ingested *on the compute agent*
-    /// before that stage's analysis — communication is no longer hidden.
-    pub helper_thread: bool,
-}
-
-impl Default for SEnkfModelOptions {
-    fn default() -> Self {
-        SEnkfModelOptions {
-            helper_thread: true,
-        }
-    }
-}
-
-/// [`model_senkf`] with ablation options.
-pub fn model_senkf_opts(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-) -> Result<ModelOutcome, String> {
-    model_senkf_opts_traced(cfg, params, opts).map(|(out, _)| out)
-}
-
-/// [`model_senkf`] with the default options, additionally returning the
-/// virtual-time execution trace.
-pub fn model_senkf_traced(
-    cfg: &ModelConfig,
-    params: Params,
-) -> Result<(ModelOutcome, Trace), String> {
-    model_senkf_opts_traced(cfg, params, SEnkfModelOptions::default())
-}
-
-/// [`model_senkf_opts`], additionally returning the execution trace. Every
-/// DES task carries an [`OpTag`] (bar read with layout-derived bytes/seeks,
-/// bundled send with its destination rank, per-stage analysis), so the
-/// trace's operation digest is directly comparable with the real
-/// executor's.
-pub fn model_senkf_opts_traced(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-) -> Result<(ModelOutcome, Trace), String> {
-    model_senkf_faulted_opts(cfg, params, opts, &FaultConfig::none())
-        .map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_senkf_traced`] under a fault plan (default options): the real
-/// executor's attempt/backoff weave becomes `Kind::Fault` tasks, OST
-/// slowdowns and stragglers dilate services, message delays extend the
-/// matching send services, and dropped members shrink the bundles to each
-/// group's survivors. Under the same seeded plan, the trace's operation
-/// digest and the [`FaultLog`] digest match the real executor's.
-pub fn model_senkf_faulted(
-    cfg: &ModelConfig,
-    params: Params,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_faulted_opts(cfg, params, SEnkfModelOptions::default(), fcfg)
-}
-
-/// [`model_senkf_faulted`] with ablation options.
-pub fn model_senkf_faulted_opts(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_adaptive_opts(cfg, params, opts, fcfg, None)
-}
-
-/// [`model_senkf_faulted`] with online health monitoring (default options):
-/// each I/O rank's group file list is reordered on the monitor's frozen
-/// view exactly as the real adaptive executor reorders its read plan, every
-/// bar read is routed/speculated/observed through the shared
-/// [`crate::model::weave_member_read`] decision procedure, and compute
-/// dilations are reported per rank — so real and modeled trace, fault and
-/// health digests stay byte-identical under a common seed. With
-/// `monitor: None` this is [`model_senkf_faulted`].
+/// overlaps stage `l` computation exactly as in Fig. 7. Every DES task
+/// carries an [`OpTag`] (bar read with layout-derived bytes/seeks, bundled
+/// send with its destination rank, per-stage analysis), so the trace's
+/// operation digest is directly comparable with the real executor's.
+///
+/// `helper_thread` is the Fig. 8 ablation switch. With the helper thread
+/// (the paper's design, and what [`CampaignExecutor::model`] runs) block
+/// ingestion proceeds concurrently with the main thread's local analyses.
+/// Without it, each stage's communication is ingested *on the compute
+/// agent* before that stage's analysis — communication is no longer
+/// hidden.
+///
+/// Under a fault plan, the real executor's attempt/backoff weave becomes
+/// `Kind::Fault` tasks, OST slowdowns and stragglers dilate services,
+/// message delays extend the matching send services, and dropped members
+/// shrink the bundles to each group's survivors. Under the same seeded
+/// plan, the trace's operation digest and the [`FaultLog`] digest match
+/// the real executor's.
+///
+/// With a monitor, each I/O rank's group file list is reordered on the
+/// monitor's frozen view exactly as the real executor reorders its read
+/// plan, every bar read is routed/speculated/observed through the shared
+/// `weave_member_read` decision procedure, and compute dilations are
+/// reported per rank — so real and modeled trace, fault and
+/// health digests stay byte-identical under a common seed.
 pub fn model_senkf_adaptive(
     cfg: &ModelConfig,
     params: Params,
-    fcfg: &FaultConfig,
-    monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_adaptive_opts(cfg, params, SEnkfModelOptions::default(), fcfg, monitor)
-}
-
-/// [`model_senkf_adaptive`] with ablation options.
-pub fn model_senkf_adaptive_opts(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
+    helper_thread: bool,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
 ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
@@ -265,7 +205,7 @@ pub fn model_senkf_adaptive_opts(
         for (l, stage_sends) in sends.iter().enumerate() {
             let layer = decomp.layer(id, l, params.layers);
             let service = cfg.compute_cost_per_point * layer.npoints() as f64 * dilation;
-            let deps = if opts.helper_thread {
+            let deps = if helper_thread {
                 stage_sends[r].clone()
             } else {
                 let block = decomp.block_of_small_bar(id, l, params.layers, radius);
@@ -337,8 +277,13 @@ pub fn model_senkf_adaptive_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::penkf::model_penkf;
+    use crate::model::penkf::model_penkf_traced;
     use enkf_tuning::Workload;
+
+    /// The paper-design DES outcome, fault- and monitor-free.
+    fn des(cfg: &ModelConfig, params: Params) -> Result<ModelOutcome, String> {
+        model_senkf_traced(cfg, params).map(|(out, _)| out)
+    }
 
     fn small_cfg() -> ModelConfig {
         ModelConfig {
@@ -357,7 +302,7 @@ mod tests {
     #[test]
     fn produces_sane_phases() {
         let cfg = small_cfg();
-        let out = model_senkf(
+        let out = des(
             &cfg,
             Params {
                 nsdx: 8,
@@ -381,8 +326,8 @@ mod tests {
         // With matched compute resources, S-EnKF's makespan must be well
         // below P-EnKF's once reads dominate.
         let cfg = small_cfg();
-        let p = model_penkf(&cfg, 24, 12).unwrap();
-        let s = model_senkf(
+        let p = model_penkf_traced(&cfg, 24, 12).unwrap().0;
+        let s = des(
             &cfg,
             Params {
                 nsdx: 24,
@@ -405,7 +350,7 @@ mod tests {
         // With L > 1, the first compute must start well before all reads
         // finish (overlap); the exposed prefix is roughly 1/L of total I/O.
         let cfg = small_cfg();
-        let out = model_senkf(
+        let out = des(
             &cfg,
             Params {
                 nsdx: 8,
@@ -427,7 +372,7 @@ mod tests {
     #[test]
     fn more_layers_reduce_exposed_prefix() {
         let cfg = small_cfg();
-        let one = model_senkf(
+        let one = des(
             &cfg,
             Params {
                 nsdx: 8,
@@ -437,7 +382,7 @@ mod tests {
             },
         )
         .unwrap();
-        let four = model_senkf(
+        let four = des(
             &cfg,
             Params {
                 nsdx: 8,
@@ -458,7 +403,7 @@ mod tests {
     #[test]
     fn indivisible_parameters_rejected() {
         let cfg = small_cfg();
-        assert!(model_senkf(
+        assert!(des(
             &cfg,
             Params {
                 nsdx: 8,
@@ -468,7 +413,7 @@ mod tests {
             }
         )
         .is_err());
-        assert!(model_senkf(
+        assert!(des(
             &cfg,
             Params {
                 nsdx: 8,

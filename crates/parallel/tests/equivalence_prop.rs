@@ -4,6 +4,7 @@
 
 use enkf_core::{serial_enkf, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
+use enkf_fault::FaultConfig;
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
 use enkf_parallel::{AssimilationSetup, PEnkf, SEnkf};
 use enkf_pfs::{FileStore, ScratchDir};
@@ -74,15 +75,15 @@ proptest! {
         let reference =
             serial_enkf(&scenario.ensemble, &scenario.observations, case.radius).unwrap();
 
-        let (p, _) = PEnkf { nsdx: case.params.nsdx, nsdy: case.params.nsdy }
-            .run(&setup)
+        let (p, _, _, _) = PEnkf { nsdx: case.params.nsdx, nsdy: case.params.nsdy }
+            .run(&setup, &FaultConfig::none(), None)
             .unwrap();
         prop_assert!(
             p.states().approx_eq(reference.states(), 1e-12),
             "P-EnKF diverged for {case:?}"
         );
 
-        let (s, report) = SEnkf::new(case.params).run(&setup).unwrap();
+        let (s, report, _, _) = SEnkf::new(case.params).run(&setup, &FaultConfig::none(), None).unwrap();
         prop_assert!(
             s.states().approx_eq(reference.states(), 1e-12),
             "S-EnKF diverged for {case:?}"

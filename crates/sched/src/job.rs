@@ -3,7 +3,6 @@
 use enkf_fault::FaultConfig;
 use enkf_parallel::{
     CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode, CyclePrice, ModelConfig,
-    ModelVariant,
 };
 use std::collections::BTreeMap;
 
@@ -31,8 +30,9 @@ impl std::fmt::Display for JobId {
 pub struct JobModel {
     /// Workload geometry and full-machine substrate parameters.
     pub cfg: ModelConfig,
-    /// Which modeled executor the campaign drives.
-    pub variant: ModelVariant,
+    /// Which executor the modeled campaign drives (normally the job's
+    /// own [`JobSpec::exec`]).
+    pub variant: CampaignExecutor,
     /// Whether the supervisor checkpoints after every cycle.
     pub checkpoint: bool,
 }
@@ -87,19 +87,6 @@ impl JobSpec {
     /// Compute ranks the job's executor occupies while running.
     pub fn ranks(&self) -> usize {
         self.exec.num_ranks()
-    }
-
-    /// The modeled variant matching a real executor (every executor now
-    /// has a DES model, so SLA-gated admission covers the whole matrix).
-    pub fn variant_of(exec: &CampaignExecutor) -> Option<ModelVariant> {
-        match *exec {
-            CampaignExecutor::LEnkf { nsdx, nsdy } => Some(ModelVariant::LEnkf { nsdx, nsdy }),
-            CampaignExecutor::PEnkf { nsdx, nsdy } => Some(ModelVariant::PEnkf { nsdx, nsdy }),
-            CampaignExecutor::SEnkf(p) => Some(ModelVariant::SEnkf(p)),
-            // The kernel choice changes flops, not operation structure, so
-            // one DES model (keyed by shard count alone) prices both.
-            CampaignExecutor::DEnkf { shards, .. } => Some(ModelVariant::DEnkf { shards }),
-        }
     }
 }
 

@@ -170,7 +170,7 @@ fn modeled_spec(cycles: usize, sla_factor: f64) -> (JobSpec, f64) {
     };
     spec.model = Some(JobModel {
         cfg,
-        variant: JobSpec::variant_of(&spec.exec).unwrap(),
+        variant: spec.exec,
         checkpoint: true,
     });
     let step = DesPlanner::price(&spec, 1.0);
@@ -208,7 +208,7 @@ fn des_planner_differencing_prices_both_commit_modes_exactly() {
             spec.exec = exec;
             spec.ckpt_mode = mode;
             let mut model = spec.model.unwrap();
-            model.variant = JobSpec::variant_of(&exec).unwrap();
+            model.variant = exec;
             spec.model = Some(model);
             spec
         };

@@ -11,36 +11,11 @@
 //! say) would add some 18k.
 
 use enkf_sim::{Kind, Simulation, Task};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{exclusive, ALLOCATIONS};
 
 const AGENTS: usize = 24;
 const RESOURCES: usize = 4;
@@ -80,6 +55,7 @@ fn run_allocations(tasks: usize) -> usize {
 
 #[test]
 fn event_loop_allocations_do_not_grow_with_event_count() {
+    let _x = exclusive();
     let small = run_allocations(2_000);
     let large = run_allocations(20_000);
     assert!(

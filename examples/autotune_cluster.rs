@@ -6,7 +6,7 @@
 //! cargo run --release --example autotune_cluster
 //! ```
 
-use s_enkf::parallel::model::senkf::model_senkf;
+use s_enkf::parallel::model_senkf_traced;
 use s_enkf::parallel::ModelConfig;
 use s_enkf::tuning::{algorithm1, autotune, economic_choice, min_t1_curve};
 
@@ -47,7 +47,7 @@ fn main() {
     );
 
     // Step 4: cross-check on the discrete-event cluster model.
-    let outcome = model_senkf(&cfg, tuned.params).expect("DES run");
+    let outcome = model_senkf_traced(&cfg, tuned.params).expect("DES run").0;
     println!(
         "DES check: makespan {:.3}s, exposed first stage {:.3}s, overlapped {:.1}%",
         outcome.makespan,

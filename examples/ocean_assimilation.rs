@@ -48,9 +48,13 @@ fn main() {
         serial_enkf(&scenario.ensemble, &scenario.observations, radius).expect("serial");
 
     // L-EnKF: rank 0 reads everything and scatters.
-    let (l_analysis, l_report) = LEnkf { nsdx: 4, nsdy: 3 }.run(&setup).expect("L-EnKF");
+    let (l_analysis, l_report, _, _) = LEnkf { nsdx: 4, nsdy: 3 }
+        .run(&setup, &FaultConfig::none(), None)
+        .expect("L-EnKF");
     // P-EnKF: every rank block-reads its own expansion.
-    let (p_analysis, p_report) = PEnkf { nsdx: 4, nsdy: 3 }.run(&setup).expect("P-EnKF");
+    let (p_analysis, p_report, _, _) = PEnkf { nsdx: 4, nsdy: 3 }
+        .run(&setup, &FaultConfig::none(), None)
+        .expect("P-EnKF");
     // S-EnKF: 12 compute ranks + 2 groups x 3 bar readers, 2 layers.
     let senkf = SEnkf::new(Params {
         nsdx: 4,
@@ -58,7 +62,9 @@ fn main() {
         layers: 2,
         ncg: 2,
     });
-    let (s_analysis, s_report) = senkf.run(&setup).expect("S-EnKF");
+    let (s_analysis, s_report, _, _) = senkf
+        .run(&setup, &FaultConfig::none(), None)
+        .expect("S-EnKF");
 
     for (name, analysis) in [
         ("L-EnKF", &l_analysis),

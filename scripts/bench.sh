@@ -227,8 +227,8 @@ bench_roofline() {
       delete v
       for (i = 2; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
       if (v["kind"] == "eigen")
-        printf "    { \"n\": %s, \"serial_us\": %s, \"parallel_us\": %s },\n",
-          v["n"], v["serial_us"], v["parallel_us"]
+        printf "    { \"n\": %s, \"serial_us\": %s },\n",
+          v["n"], v["serial_us"]
     }
   ' "$tmp/roof.txt" >"$tmp/roof_eigen.txt"
   sed -i '$ s/ },$/ }/' "$tmp/roof_eigen.txt"

@@ -34,8 +34,9 @@ echo "==> scheduler suites: fair-share properties + multi-tenant isolation"
 cargo test -q -p enkf-sched
 cargo test -q --test scheduler_conformance
 
-echo "==> allocation regression: steady-state data plane is alloc-free (release)"
+echo "==> allocation regression: steady-state data plane and DES event loop (release)"
 cargo test -q --release --test dataplane_alloc_free
+cargo test -q --release -p enkf-sim --test alloc_free
 
 echo "==> kernel conformance matrix: default / fast-math / no-SIMD features"
 cargo test -q -p enkf-linalg
@@ -44,5 +45,8 @@ cargo test -q -p enkf-linalg --no-default-features
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
+
+echo "==> repository benchmark builds against the library API"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "All checks passed."

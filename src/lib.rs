@@ -26,8 +26,9 @@
 //! * [`data`] — synthetic ocean-like ensembles and the on-disk file format.
 //! * [`core`] — the EnKF numerics: global analysis, local analysis,
 //!   perturbed observations, observation operators.
-//! * [`parallel`] — L-EnKF, P-EnKF and S-EnKF planners plus the real and
-//!   modeled executors.
+//! * [`parallel`] — the L-EnKF, P-EnKF, S-EnKF and D-EnKF executors, each
+//!   one [`parallel::CampaignExecutor`] value with a real `run` and a
+//!   modeled `model`.
 //! * [`tuning`] — the cost models (Eqs. 7–10) and the auto-tuner
 //!   (Algorithms 1 and 2).
 //! * [`sched`] — the multi-tenant campaign scheduler: admission control
@@ -93,13 +94,11 @@ pub mod prelude {
     pub use enkf_linalg::Matrix;
     pub use enkf_net::NetParams;
     pub use enkf_parallel::{
-        model_campaign, model_campaign_adaptive, model_denkf_adaptive, model_lenkf_adaptive,
-        model_penkf_adaptive, model_penkf_faulted, model_penkf_traced, model_senkf_adaptive,
-        model_senkf_faulted, model_senkf_traced, parallel_write_back, run_campaign,
-        run_campaign_ctx, AssimilationSetup, CampaignConfig, CampaignCtx, CampaignError,
-        CampaignExecutor, CampaignModelOutcome, CampaignModelPlan, CampaignReport, DEnkf,
-        ExecutionReport, LEnkf, ModelConfig, ModelOutcome, ModelVariant, PEnkf, PhaseBreakdown,
-        RecoveryEvent, SEnkf,
+        model_campaign, model_campaign_adaptive, model_penkf_traced, model_senkf_traced,
+        parallel_write_back, run_campaign, run_campaign_ctx, AssimilationSetup, CampaignConfig,
+        CampaignCtx, CampaignError, CampaignExecutor, CampaignModelOutcome, CampaignModelPlan,
+        CampaignReport, DEnkf, ExecutionReport, LEnkf, ModelConfig, ModelOutcome, PEnkf,
+        PhaseBreakdown, RecoveryEvent, SEnkf,
     };
     pub use enkf_pfs::{FileStore, PfsParams, ScratchDir};
     pub use enkf_sched::{

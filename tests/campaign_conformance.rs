@@ -25,7 +25,7 @@ use s_enkf::ckpt::CheckpointStore;
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::parallel::{
     model_campaign, run_campaign, run_campaign_ctx, BackoffClock, CampaignConfig, CampaignCtx,
-    CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode, ModelConfig, ModelVariant,
+    CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode, ModelConfig,
 };
 use s_enkf::pfs::{FileStore, ScratchDir};
 
@@ -391,18 +391,10 @@ fn model_cfg() -> ModelConfig {
 #[test]
 fn real_and_modeled_campaigns_conform_on_empty_plan() {
     let cases = [
-        (
-            "penkf",
-            CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 },
-            ModelVariant::PEnkf { nsdx: 2, nsdy: 2 },
-        ),
-        (
-            "senkf",
-            CampaignExecutor::SEnkf(SENKF),
-            ModelVariant::SEnkf(SENKF),
-        ),
+        ("penkf", CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }),
+        ("senkf", CampaignExecutor::SEnkf(SENKF)),
     ];
-    for (name, exec, variant) in cases {
+    for (name, exec) in cases {
         for (mname, mode) in modes() {
             let plan = CampaignModelPlan {
                 cycles: CYCLES,
@@ -420,7 +412,7 @@ fn real_and_modeled_campaigns_conform_on_empty_plan() {
                 mode,
             );
             let (_out, model_trace) =
-                model_campaign(&model_cfg(), &variant, &plan, &FaultConfig::none()).unwrap();
+                model_campaign(&model_cfg(), &exec, &plan, &FaultConfig::none()).unwrap();
             assert_eq!(
                 real.trace.digest(),
                 model_trace.digest(),
@@ -438,7 +430,7 @@ fn model_checkpointing_bounds_crash_loss() {
     fault.plan = FaultPlan::new(1).with_crash_at_cycle(0, CYCLES - 1, 0);
     fault.recv_timeout = 0.3;
     let restart = campaign_cfg(CYCLES).restart;
-    let variant = ModelVariant::PEnkf { nsdx: 2, nsdy: 2 };
+    let variant = CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 };
     let with = CampaignModelPlan {
         cycles: CYCLES,
         checkpoint: true,
@@ -487,7 +479,7 @@ fn model_checkpointing_bounds_crash_loss() {
 #[test]
 fn model_pipelined_overlap_cuts_exposed_checkpoint_time() {
     let restart = campaign_cfg(CYCLES).restart;
-    let variant = ModelVariant::PEnkf { nsdx: 2, nsdy: 2 };
+    let variant = CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 };
     let sync = CampaignModelPlan {
         cycles: CYCLES,
         checkpoint: true,

@@ -32,9 +32,8 @@ use s_enkf::core::{BatchedKernel, LocalAnalysis};
 use s_enkf::fault::{seeded_unit, FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_campaign_adaptive, model_denkf_adaptive, model_lenkf_adaptive, model_penkf_adaptive,
-    model_senkf_adaptive, AssimilationSetup, CampaignCtx, CampaignExecutor, CampaignModelPlan,
-    DEnkf, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
+    model_campaign_adaptive, AssimilationSetup, CampaignCtx, CampaignExecutor, CampaignModelPlan,
+    ModelConfig,
 };
 use s_enkf::prelude::{HealthMonitor, HealthParams, HealthSnapshot};
 use s_enkf::tuning::Workload;
@@ -106,19 +105,7 @@ struct SoakArtifacts {
 /// Run the multi-cycle storm on one executor, real vs model, with two
 /// independent monitors stepped identically, asserting per-cycle digest
 /// identity and health conformance. Returns the real-side artifacts.
-fn soak<R, M>(label: &str, real: R, model: M) -> SoakArtifacts
-where
-    R: Fn(
-        &AssimilationSetup<'_>,
-        &FaultConfig,
-        Option<&HealthMonitor>,
-    ) -> (s_enkf::trace::Trace, s_enkf::fault::FaultLog),
-    M: Fn(
-        &ModelConfig,
-        &FaultConfig,
-        Option<&HealthMonitor>,
-    ) -> (s_enkf::trace::Trace, s_enkf::fault::FaultLog),
-{
+fn soak(label: &str, exec: CampaignExecutor) -> SoakArtifacts {
     let mesh = Mesh::new(MESH.0, MESH.1);
     let h = harness_labeled(label, mesh, MEMBERS, 42, 1);
     let setup = AssimilationSetup {
@@ -138,8 +125,8 @@ where
     };
     for cycle in 0..CYCLES {
         let fcfg = storm_cfg(cycle);
-        let (rt, rl) = real(&setup, &fcfg, Some(&real_mon));
-        let (mt, ml) = model(&cfg, &fcfg, Some(&model_mon));
+        let (_, _, rt, rl) = exec.run(&setup, &fcfg, Some(&real_mon)).unwrap();
+        let (_, mt, ml) = exec.model(&cfg, &fcfg, Some(&model_mon)).unwrap();
         assert_eq!(
             rt.digest(),
             mt.digest(),
@@ -175,81 +162,37 @@ fn assert_replays(label: &str, a: SoakArtifacts, b: SoakArtifacts) {
     assert_eq!(a, b, "{label}: same-seed replay is not bit-exact");
 }
 
+/// Soak `exec` twice from scratch and require a bit-exact replay.
+fn soak_and_replay(label: &str, exec: CampaignExecutor) {
+    let a = soak(&format!("soak-{label}-a"), exec);
+    let b = soak(&format!("soak-{label}-b"), exec);
+    assert_replays(label, a, b);
+}
+
 #[test]
 fn chaos_soak_lenkf() {
-    let run = |l: &str| {
-        soak(
-            l,
-            |s, f, m| {
-                let (_, _, t, log) = LEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
-                (t, log)
-            },
-            |c, f, m| {
-                let (_, t, log) = model_lenkf_adaptive(c, 2, 2, f, m).unwrap();
-                (t, log)
-            },
-        )
-    };
-    assert_replays("lenkf", run("soak-lenkf-a"), run("soak-lenkf-b"));
+    soak_and_replay("lenkf", CampaignExecutor::LEnkf { nsdx: 2, nsdy: 2 });
 }
 
 #[test]
 fn chaos_soak_penkf() {
-    let run = |l: &str| {
-        soak(
-            l,
-            |s, f, m| {
-                let (_, _, t, log) = PEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
-                (t, log)
-            },
-            |c, f, m| {
-                let (_, t, log) = model_penkf_adaptive(c, 2, 2, f, m).unwrap();
-                (t, log)
-            },
-        )
-    };
-    assert_replays("penkf", run("soak-penkf-a"), run("soak-penkf-b"));
+    soak_and_replay("penkf", CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 });
 }
 
 #[test]
 fn chaos_soak_senkf() {
-    let run = |l: &str| {
-        soak(
-            l,
-            |s, f, m| {
-                let (_, _, t, log) = SEnkf::new(SENKF).run_adaptive(s, f, m).unwrap();
-                (t, log)
-            },
-            |c, f, m| {
-                let (_, t, log) = model_senkf_adaptive(c, SENKF, f, m).unwrap();
-                (t, log)
-            },
-        )
-    };
-    assert_replays("senkf", run("soak-senkf-a"), run("soak-senkf-b"));
+    soak_and_replay("senkf", CampaignExecutor::SEnkf(SENKF));
 }
 
 #[test]
 fn chaos_soak_denkf() {
-    let run = |l: &str| {
-        soak(
-            l,
-            |s, f, m| {
-                let (_, _, t, log) = DEnkf {
-                    shards: 4,
-                    kernel: BatchedKernel::Cholesky,
-                }
-                .run_adaptive(s, f, m)
-                .unwrap();
-                (t, log)
-            },
-            |c, f, m| {
-                let (_, t, log) = model_denkf_adaptive(c, 4, f, m).unwrap();
-                (t, log)
-            },
-        )
-    };
-    assert_replays("denkf", run("soak-denkf-a"), run("soak-denkf-b"));
+    soak_and_replay(
+        "denkf",
+        CampaignExecutor::DEnkf {
+            shards: 4,
+            kernel: BatchedKernel::Cholesky,
+        },
+    );
 }
 
 /// Campaign-level conformance: a supervised real campaign with
@@ -281,14 +224,9 @@ fn chaos_soak_campaign_real_vs_model() {
         pipelined: false,
         restart: campaign.restart,
     };
-    let (out, _trace) = model_campaign_adaptive(
-        &mix.model_cfg(),
-        &ModelVariant::SEnkf(SENKF),
-        &plan,
-        &fcfg,
-        Some(&mut model_mon),
-    )
-    .expect("modeled adaptive campaign");
+    let (out, _trace) =
+        model_campaign_adaptive(&mix.model_cfg(), &exec, &plan, &fcfg, Some(&mut model_mon))
+            .expect("modeled adaptive campaign");
 
     assert_eq!(
         report.cycle_digests, out.cycle_digests,

@@ -151,8 +151,8 @@ impl TenantMix {
         self
     }
 
-    /// Attach a DES model and an SLA to the most recently added job
-    /// (panics for executors without a model, i.e. L-EnKF).
+    /// Attach a DES model of the job's own executor and an SLA to the
+    /// most recently added job.
     pub fn sla(mut self, sla: f64) -> Self {
         let model_cfg = self.model_cfg();
         let spec = &mut self
@@ -160,10 +160,9 @@ impl TenantMix {
             .last_mut()
             .expect("sla() requires a job() first")
             .1;
-        let variant = JobSpec::variant_of(&spec.exec).expect("sla() requires a modelable executor");
         spec.model = Some(JobModel {
             cfg: model_cfg,
-            variant,
+            variant: spec.exec,
             checkpoint: true,
         });
         spec.sla = Some(sla);

@@ -7,6 +7,7 @@ mod common;
 
 use common::harness;
 use s_enkf::core::{serial_enkf, serial_enkf_decomposed, BatchedKernel, LocalAnalysis};
+use s_enkf::fault::FaultConfig;
 use s_enkf::grid::{Decomposition, LocalizationRadius, Mesh};
 use s_enkf::parallel::{AssimilationSetup, DEnkf, LEnkf, PEnkf, SEnkf};
 use s_enkf::tuning::Params;
@@ -25,10 +26,14 @@ fn all_variants_match_serial_reference() {
     };
     let reference = serial_enkf(&h.scenario.ensemble, &h.scenario.observations, radius).unwrap();
 
-    let (l, _) = LEnkf { nsdx: 3, nsdy: 2 }.run(&setup).unwrap();
+    let (l, _, _, _) = LEnkf { nsdx: 3, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
     assert!(l.states().approx_eq(reference.states(), 1e-12), "L-EnKF");
 
-    let (p, _) = PEnkf { nsdx: 4, nsdy: 3 }.run(&setup).unwrap();
+    let (p, _, _, _) = PEnkf { nsdx: 4, nsdy: 3 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
     assert!(p.states().approx_eq(reference.states(), 1e-12), "P-EnKF");
 
     for params in [
@@ -57,7 +62,9 @@ fn all_variants_match_serial_reference() {
             ncg: 6,
         },
     ] {
-        let (s, _) = SEnkf::new(params).run(&setup).unwrap();
+        let (s, _, _, _) = SEnkf::new(params)
+            .run(&setup, &FaultConfig::none(), None)
+            .unwrap();
         assert!(
             s.states().approx_eq(reference.states(), 1e-12),
             "S-EnKF {params:?} diverged"
@@ -80,14 +87,16 @@ fn equivalence_holds_with_multi_level_files() {
         analysis: LocalAnalysis::new(radius),
     };
     let reference = serial_enkf(&h.scenario.ensemble, &h.scenario.observations, radius).unwrap();
-    let (p, _) = PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).unwrap();
-    let (s, _) = SEnkf::new(Params {
+    let (p, _, _, _) = PEnkf { nsdx: 2, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
+    let (s, _, _, _) = SEnkf::new(Params {
         nsdx: 2,
         nsdy: 2,
         layers: 2,
         ncg: 1,
     })
-    .run(&setup)
+    .run(&setup, &FaultConfig::none(), None)
     .unwrap();
     assert!(p.states().approx_eq(reference.states(), 1e-12));
     assert!(s.states().approx_eq(reference.states(), 1e-12));
@@ -116,7 +125,9 @@ fn blocked_granularity_matches_serial_blocked() {
         &decomp,
     )
     .unwrap();
-    let (p, _) = PEnkf { nsdx: 4, nsdy: 2 }.run(&setup).unwrap();
+    let (p, _, _, _) = PEnkf { nsdx: 4, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
     assert!(p.states().approx_eq(reference.states(), 1e-12));
 }
 
@@ -146,12 +157,14 @@ fn denkf_matches_lenkf_in_the_full_rank_global_regime() {
         analysis,
     };
 
-    let (l, _) = LEnkf { nsdx: 2, nsdy: 1 }.run(&setup).unwrap();
-    let (d_chol, _, _) = DEnkf {
+    let (l, _, _, _) = LEnkf { nsdx: 2, nsdy: 1 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
+    let (d_chol, _, _, _) = DEnkf {
         shards: 3,
         kernel: BatchedKernel::Cholesky,
     }
-    .run_traced(&setup)
+    .run(&setup, &FaultConfig::none(), None)
     .unwrap();
     assert!(
         d_chol.states().approx_eq(l.states(), 1e-6),
@@ -160,11 +173,11 @@ fn denkf_matches_lenkf_in_the_full_rank_global_regime() {
 
     // The two C⁻¹ kernels are exact algebraic rearrangements of each
     // other, so they agree far tighter than the cross-form tolerance.
-    let (d_sm, _, _) = DEnkf {
+    let (d_sm, _, _, _) = DEnkf {
         shards: 3,
         kernel: BatchedKernel::ShermanMorrison,
     }
-    .run_traced(&setup)
+    .run(&setup, &FaultConfig::none(), None)
     .unwrap();
     assert!(
         d_sm.states().approx_eq(d_chol.states(), 1e-10),
@@ -173,11 +186,11 @@ fn denkf_matches_lenkf_in_the_full_rank_global_regime() {
 
     // Shard count never changes a bit: the batched update is global and
     // the kernel GEMM accumulates in a shape-independent order.
-    let (d_one, _, _) = DEnkf {
+    let (d_one, _, _, _) = DEnkf {
         shards: 1,
         kernel: BatchedKernel::Cholesky,
     }
-    .run_traced(&setup)
+    .run(&setup, &FaultConfig::none(), None)
     .unwrap();
     assert_eq!(
         d_one.states().as_slice(),
@@ -204,8 +217,8 @@ fn repeated_runs_are_deterministic() {
         layers: 2,
         ncg: 2,
     });
-    let (a, _) = senkf.run(&setup).unwrap();
-    let (b, _) = senkf.run(&setup).unwrap();
+    let (a, _, _, _) = senkf.run(&setup, &FaultConfig::none(), None).unwrap();
+    let (b, _, _, _) = senkf.run(&setup, &FaultConfig::none(), None).unwrap();
     assert_eq!(
         a.states(),
         b.states(),

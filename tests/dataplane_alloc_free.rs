@@ -24,51 +24,11 @@ use s_enkf::core::{
 use s_enkf::grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use s_enkf::linalg::Matrix;
 use s_enkf::pfs::{FileStore, RegionData, ScratchDir};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 
-/// System allocator wrapper counting every allocation-side call, the
-/// bytes it requested, and the largest single request.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-/// The counters are process-global, so tests that assert on deltas must
-/// not overlap with each other's allocations.
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-fn count(size: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(size, Ordering::Relaxed);
-    LARGEST.fetch_max(size, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{exclusive, ALLOCATIONS, BYTES, LARGEST};
 
 /// One steady-state assimilation cycle over pre-sized buffers: read every
 /// member's bar, split it into block views (O(1) extracts), scatter the
@@ -127,7 +87,7 @@ fn cycle(
 
 #[test]
 fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
-    let _x = EXCLUSIVE.lock().unwrap();
+    let _x = exclusive();
     let mesh = Mesh::new(16, 8);
     let members = 6;
     let radius = LocalizationRadius { xi: 2, eta: 2 };
@@ -231,7 +191,7 @@ fn ckpt_sweep(
 /// a sliver of the payload and never one allocation as large as a member.
 #[test]
 fn checkpoint_member_writes_are_payload_allocation_free_at_steady_state() {
-    let _x = EXCLUSIVE.lock().unwrap();
+    let _x = exclusive();
     let mesh = Mesh::new(16, 8);
     let members = 6;
     let scratch = ScratchDir::new("ckpt-alloc").unwrap();

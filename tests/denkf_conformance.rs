@@ -23,8 +23,8 @@ use s_enkf::core::{BatchedKernel, EnkfError, LocalAnalysis};
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy, SubstrateError};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_campaign, model_denkf_faulted, model_denkf_traced, run_campaign, AssimilationSetup,
-    CampaignExecutor, CampaignModelPlan, DEnkf, ModelConfig, ModelVariant,
+    model_campaign, run_campaign, AssimilationSetup, CampaignExecutor, CampaignModelPlan,
+    ModelConfig,
 };
 use s_enkf::tuning::Workload;
 
@@ -44,8 +44,9 @@ fn model_cfg(mesh: Mesh, members: usize) -> ModelConfig {
     cfg
 }
 
-fn denkf(shards: usize) -> DEnkf {
-    DEnkf {
+/// The D-EnKF executor under test: one value for the real run and the DES.
+fn denkf(shards: usize) -> CampaignExecutor {
+    CampaignExecutor::DEnkf {
         shards,
         kernel: BatchedKernel::ShermanMorrison,
     }
@@ -76,19 +77,17 @@ fn real_and_modeled_digests_are_byte_identical() {
             observations: &h.scenario.observations,
             analysis: LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 }),
         };
-        let (_, _, real) = denkf(shards).run_traced(&setup).unwrap();
-        let (_, model) = model_denkf_traced(&model_cfg(mesh, members), shards).unwrap();
+        let none = FaultConfig::none();
+        let (_, _, real, log) = denkf(shards).run(&setup, &none, None).unwrap();
+        let (_, model, _) = denkf(shards)
+            .model(&model_cfg(mesh, members), &none, None)
+            .unwrap();
         assert_eq!(
             real.digest(),
             model.digest(),
             "D-EnKF real/model digests diverge ({shards} shards on {mesh:?})"
         );
-        // The faulted entry point with an empty plan is the same program.
-        let (_, _, faulted, log) = denkf(shards)
-            .run_faulted(&setup, &FaultConfig::none())
-            .unwrap();
-        assert_eq!(real.digest(), faulted.digest(), "empty plan must be free");
-        assert!(log.is_empty());
+        assert!(log.is_empty(), "an empty plan must log nothing");
     }
 }
 
@@ -114,10 +113,12 @@ fn degraded_plan_conforms_and_completes_on_survivors() {
         degraded: true,
         recv_timeout: 5.0,
     };
-    let (analysis, report, real, real_log) = denkf(3).run_faulted(&setup, &fcfg).unwrap();
+    let (analysis, report, real, real_log) = denkf(3).run(&setup, &fcfg, None).unwrap();
     assert_eq!(analysis.size(), MEMBERS - 1, "one member dropped");
     assert_eq!(report.dropped_members, vec![3]);
-    let (out, model, model_log) = model_denkf_faulted(&model_cfg(mesh, MEMBERS), 3, &fcfg).unwrap();
+    let (out, model, model_log) = denkf(3)
+        .model(&model_cfg(mesh, MEMBERS), &fcfg, None)
+        .unwrap();
     assert_eq!(out.dropped_members, vec![3]);
     assert_eq!(
         real.digest(),
@@ -150,7 +151,7 @@ fn failures_surface_as_typed_errors() {
         degraded: false,
         recv_timeout: 5.0,
     };
-    match denkf(2).run_faulted(&setup, &undegraded) {
+    match denkf(2).run(&setup, &undegraded, None) {
         Err(EnkfError::Substrate(SubstrateError::Unrecoverable { members })) => {
             assert_eq!(members, vec![2])
         }
@@ -163,11 +164,41 @@ fn failures_surface_as_typed_errors() {
         degraded: false,
         recv_timeout: 0.2,
     };
-    match denkf(2).run_faulted(&setup, &crash) {
+    match denkf(2).run(&setup, &crash, None) {
         Err(EnkfError::Substrate(
             SubstrateError::RankCrashed { rank: 0, .. } | SubstrateError::RecvTimeout { .. },
         )) => {}
         other => panic!("expected typed crash/timeout, got {other:?}"),
+    }
+}
+
+/// The D-EnKF DES is kernel-blind: the `C⁻¹` kernel changes flops, not
+/// operation structure, so Cholesky and Sherman–Morrison must model to the
+/// bit-identical outcome, trace and fault log — under a seeded degraded
+/// plan too. This is what lets one DES price both kernels.
+#[test]
+fn des_model_ignores_the_kernel() {
+    let cfg = model_cfg(Mesh::new(24, 12), MEMBERS);
+    let seeded = FaultConfig {
+        plan: FaultPlan::new(42)
+            .with_read_fault(1, 2)
+            .with_ost_slowdown(1, 3.0)
+            .with_unrecoverable_member(3),
+        retry: fast_retry(),
+        degraded: true,
+        recv_timeout: 5.0,
+    };
+    for fcfg in [FaultConfig::none(), seeded] {
+        let [(chol, chol_trace, chol_log), (sm, sm_trace, sm_log)] =
+            [BatchedKernel::Cholesky, BatchedKernel::ShermanMorrison].map(|kernel| {
+                CampaignExecutor::DEnkf { shards: 4, kernel }
+                    .model(&cfg, &fcfg, None)
+                    .unwrap()
+            });
+        assert_eq!(chol.makespan.to_bits(), sm.makespan.to_bits());
+        assert_eq!(chol, sm, "kernel changed the modeled outcome");
+        assert_eq!(chol_trace.digest(), sm_trace.digest());
+        assert_eq!(chol_log.digest(), sm_log.digest());
     }
 }
 
@@ -177,17 +208,10 @@ fn mix() -> TenantMix {
     TenantMix::small()
 }
 
-fn denkf_exec() -> CampaignExecutor {
-    CampaignExecutor::DEnkf {
-        shards: 4,
-        kernel: BatchedKernel::ShermanMorrison,
-    }
-}
-
 /// Kill–resume bit-identity through `enkf-ckpt`, on the D-EnKF executor.
 #[test]
 fn campaign_kill_resume_is_bit_identical() {
-    let exec = denkf_exec();
+    let exec = denkf(4);
     let (_s1, work1, ckpt1) = mix().stores("denkf-camp-full");
     let full = run_campaign(
         &work1,
@@ -233,7 +257,7 @@ fn campaign_kill_resume_is_bit_identical() {
 /// byte-identical operation digests on an empty plan.
 #[test]
 fn campaign_real_and_model_digests_conform() {
-    let exec = denkf_exec();
+    let exec = denkf(4);
     let (_s, work, ckpt) = mix().stores("denkf-camp-conf");
     let real = run_campaign(
         &work,
@@ -249,13 +273,8 @@ fn campaign_real_and_model_digests_conform() {
         pipelined: false,
         restart: mix().campaign_cfg(CYCLES).restart,
     };
-    let (_out, model_trace) = model_campaign(
-        &mix().model_cfg(),
-        &ModelVariant::DEnkf { shards: 4 },
-        &plan,
-        &FaultConfig::none(),
-    )
-    .unwrap();
+    let (_out, model_trace) =
+        model_campaign(&mix().model_cfg(), &exec, &plan, &FaultConfig::none()).unwrap();
     assert_eq!(
         real.trace.digest(),
         model_trace.digest(),
@@ -267,7 +286,7 @@ fn campaign_real_and_model_digests_conform() {
 /// recovered campaign is bit-identical to a never-faulted one.
 #[test]
 fn campaign_crash_recovery_is_bit_identical() {
-    let exec = denkf_exec();
+    let exec = denkf(4);
     let (_s1, work1, ckpt1) = mix().stores("denkf-camp-clean");
     let clean = run_campaign(
         &work1,

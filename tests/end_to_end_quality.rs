@@ -4,6 +4,7 @@
 
 use s_enkf::core::{serial_enkf, LocalAnalysis};
 use s_enkf::data::{read_ensemble, write_ensemble, ScenarioBuilder, SmoothFieldGenerator};
+use s_enkf::fault::FaultConfig;
 use s_enkf::grid::{FileLayout, LocalizationRadius, Mesh};
 use s_enkf::parallel::{AssimilationSetup, SEnkf};
 use s_enkf::pfs::{FileStore, ScratchDir};
@@ -42,7 +43,7 @@ fn parallel_assimilation_reduces_error_against_truth() {
         layers: 2,
         ncg: 2,
     });
-    let (analysis, report) = senkf.run(&setup).unwrap();
+    let (analysis, report, _, _) = senkf.run(&setup, &FaultConfig::none(), None).unwrap();
 
     let before = scenario.rmse_background();
     let after = scenario.rmse_of(&analysis);

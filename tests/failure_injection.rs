@@ -8,6 +8,7 @@ mod common;
 use common::harness_labeled;
 use s_enkf::core::{LocalAnalysis, PerturbedObservations};
 use s_enkf::data::ScenarioBuilder;
+use s_enkf::fault::FaultConfig;
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{AssimilationSetup, LEnkf, PEnkf, SEnkf};
 use s_enkf::tuning::Params;
@@ -31,11 +32,15 @@ fn missing_member_file_is_an_error_in_every_variant() {
         analysis: LocalAnalysis::new(radius()),
     };
     assert!(
-        PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err(),
+        PEnkf { nsdx: 2, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .is_err(),
         "P-EnKF must error"
     );
     assert!(
-        LEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err(),
+        LEnkf { nsdx: 2, nsdy: 2 }
+            .run(&setup, &FaultConfig::none(), None)
+            .is_err(),
         "L-EnKF must error"
     );
     let senkf = SEnkf::new(Params {
@@ -44,7 +49,10 @@ fn missing_member_file_is_an_error_in_every_variant() {
         layers: 2,
         ncg: 2,
     });
-    assert!(senkf.run(&setup).is_err(), "S-EnKF must error");
+    assert!(
+        senkf.run(&setup, &FaultConfig::none(), None).is_err(),
+        "S-EnKF must error"
+    );
 }
 
 #[test]
@@ -63,7 +71,9 @@ fn truncated_member_file_is_an_error() {
         observations: &h.scenario.observations,
         analysis: LocalAnalysis::new(radius()),
     };
-    assert!(PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err());
+    assert!(PEnkf { nsdx: 2, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .is_err());
 }
 
 #[test]
@@ -77,7 +87,9 @@ fn member_count_mismatch_with_perturbations_is_rejected() {
         observations: &h.scenario.observations,
         analysis: LocalAnalysis::new(radius()),
     };
-    assert!(PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err());
+    assert!(PEnkf { nsdx: 2, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .is_err());
 }
 
 #[test]
@@ -96,7 +108,9 @@ fn observation_mesh_mismatch_is_rejected() {
         observations: &other.observations,
         analysis: LocalAnalysis::new(radius()),
     };
-    assert!(PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err());
+    assert!(PEnkf { nsdx: 2, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .is_err());
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //!
 //! Three properties pin the fault subsystem down:
 //!
-//! 1. **Zero-overhead**: with an empty plan, the faulted entry points are
-//!    *the same program* as the plain traced ones — byte-identical
-//!    operation digests on both executors.
+//! 1. **Zero-overhead**: with an empty plan, `run`/`model` are *the same
+//!    program* as the plain `run_traced`/`model_*_traced` shims —
+//!    byte-identical operation digests on both executors.
 //! 2. **Fault conformance**: under a seeded plan, the real executor and
 //!    the DES model inject the same faults, retry on the same schedule,
 //!    and drop the same members — equal trace digests *and* equal fault-log
@@ -20,8 +20,8 @@ use s_enkf::core::LocalAnalysis;
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_penkf_faulted, model_penkf_traced, model_senkf_faulted, model_senkf_traced,
-    AssimilationSetup, LEnkf, ModelConfig, PEnkf, SEnkf,
+    model_penkf_traced, model_senkf_traced, AssimilationSetup, CampaignExecutor, LEnkf,
+    ModelConfig, PEnkf, SEnkf,
 };
 use s_enkf::trace::Op;
 use s_enkf::tuning::{Params, Workload};
@@ -92,37 +92,30 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
         nsdx: PENKF.0,
         nsdy: PENKF.1,
     }
-    .run_faulted(&setup, &none)
+    .run(&setup, &none, None)
     .unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF real");
     assert!(log.is_empty(), "no-fault run must log nothing");
 
-    let (_, _, plain) = LEnkf {
-        nsdx: PENKF.0,
-        nsdy: PENKF.1,
-    }
-    .run_traced(&setup)
-    .unwrap();
-    let (_, _, faulted, _) = LEnkf {
-        nsdx: PENKF.0,
-        nsdy: PENKF.1,
-    }
-    .run_faulted(&setup, &none)
-    .unwrap();
-    assert_eq!(plain.digest(), faulted.digest(), "L-EnKF real");
-
     let (_, _, plain) = SEnkf::new(SENKF).run_traced(&setup).unwrap();
-    let (_, _, faulted, _) = SEnkf::new(SENKF).run_faulted(&setup, &none).unwrap();
+    let (_, _, faulted, _) = SEnkf::new(SENKF).run(&setup, &none, None).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF real");
 
     let cfg = model_cfg();
     let (_, plain) = model_penkf_traced(&cfg, PENKF.0, PENKF.1).unwrap();
-    let (_, faulted, log) = model_penkf_faulted(&cfg, PENKF.0, PENKF.1, &none).unwrap();
+    let (_, faulted, log) = CampaignExecutor::PEnkf {
+        nsdx: PENKF.0,
+        nsdy: PENKF.1,
+    }
+    .model(&cfg, &none, None)
+    .unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF model");
     assert!(log.is_empty());
 
     let (_, plain) = model_senkf_traced(&cfg, SENKF).unwrap();
-    let (_, faulted, _) = model_senkf_faulted(&cfg, SENKF, &none).unwrap();
+    let (_, faulted, _) = CampaignExecutor::SEnkf(SENKF)
+        .model(&cfg, &none, None)
+        .unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF model");
 }
 
@@ -142,10 +135,14 @@ fn seeded_plan_conforms_across_executors_penkf() {
         nsdx: PENKF.0,
         nsdy: PENKF.1,
     }
-    .run_faulted(&setup, &fcfg)
+    .run(&setup, &fcfg, None)
     .unwrap();
-    let (outcome, model, model_log) =
-        model_penkf_faulted(&model_cfg(), PENKF.0, PENKF.1, &fcfg).unwrap();
+    let (outcome, model, model_log) = CampaignExecutor::PEnkf {
+        nsdx: PENKF.0,
+        nsdy: PENKF.1,
+    }
+    .model(&model_cfg(), &fcfg, None)
+    .unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -173,8 +170,10 @@ fn seeded_plan_conforms_across_executors_senkf() {
     };
     let fcfg = FaultConfig::degraded(seeded_plan()).with_retry(fast_retry());
 
-    let (_, report, real, real_log) = SEnkf::new(SENKF).run_faulted(&setup, &fcfg).unwrap();
-    let (outcome, model, model_log) = model_senkf_faulted(&model_cfg(), SENKF, &fcfg).unwrap();
+    let (_, report, real, real_log) = SEnkf::new(SENKF).run(&setup, &fcfg, None).unwrap();
+    let (outcome, model, model_log) = CampaignExecutor::SEnkf(SENKF)
+        .model(&model_cfg(), &fcfg, None)
+        .unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -206,7 +205,9 @@ fn model_backoff_delays_are_exact_in_virtual_time() {
     fcfg.degraded = false;
     fcfg.retry = retry;
 
-    let (_, trace, _) = model_penkf_faulted(&model_cfg(), 1, 1, &fcfg).unwrap();
+    let (_, trace, _) = CampaignExecutor::PEnkf { nsdx: 1, nsdy: 1 }
+        .model(&model_cfg(), &fcfg, None)
+        .unwrap();
     let spans = trace.spans();
 
     let mut backoffs: Vec<f64> = spans
@@ -252,7 +253,7 @@ fn crash_is_a_typed_error_not_a_deadlock() {
             nsdx: PENKF.0,
             nsdy: PENKF.1
         }
-        .run_faulted(&setup, &fcfg)
+        .run(&setup, &fcfg, None)
         .is_err(),
         "L-EnKF with a crashed reader must error"
     );
@@ -262,13 +263,20 @@ fn crash_is_a_typed_error_not_a_deadlock() {
     let mut fcfg = FaultConfig::degraded(FaultPlan::new(3).with_crash(io_rank, 1));
     fcfg.recv_timeout = 0.2;
     assert!(
-        SEnkf::new(SENKF).run_faulted(&setup, &fcfg).is_err(),
+        SEnkf::new(SENKF).run(&setup, &fcfg, None).is_err(),
         "S-EnKF with a crashed I/O rank must error"
     );
 
     // The model refuses a crashing plan up front rather than modeling a hang.
-    assert!(model_penkf_faulted(&model_cfg(), PENKF.0, PENKF.1, &fcfg).is_err());
-    assert!(model_senkf_faulted(&model_cfg(), SENKF, &fcfg).is_err());
+    assert!(CampaignExecutor::PEnkf {
+        nsdx: PENKF.0,
+        nsdy: PENKF.1
+    }
+    .model(&model_cfg(), &fcfg, None)
+    .is_err());
+    assert!(CampaignExecutor::SEnkf(SENKF)
+        .model(&model_cfg(), &fcfg, None)
+        .is_err());
 }
 
 /// A dropped message surfaces as a receive timeout on the real executor.
@@ -289,12 +297,14 @@ fn dropped_message_times_out_with_a_typed_error() {
             nsdx: PENKF.0,
             nsdy: PENKF.1
         }
-        .run_faulted(&setup, &fcfg)
+        .run(&setup, &fcfg, None)
         .is_err(),
         "L-EnKF with a dropped scatter message must error"
     );
     assert!(
-        model_senkf_faulted(&model_cfg(), SENKF, &fcfg).is_err(),
+        CampaignExecutor::SEnkf(SENKF)
+            .model(&model_cfg(), &fcfg, None)
+            .is_err(),
         "the model refuses a message-dropping plan"
     );
 }

@@ -60,14 +60,14 @@ fn degraded_dropout_matches_from_scratch_n_minus_1() {
         observations: &reduced,
         analysis: LocalAnalysis::new(radius),
     };
-    let (reference, _) = PEnkf { nsdx: 2, nsdy: 2 }.run(&ref_setup).unwrap();
+    let (reference, _, _, _) = PEnkf { nsdx: 2, nsdy: 2 }
+        .run(&ref_setup, &FaultConfig::none(), None)
+        .unwrap();
 
     let cfg = FaultConfig::degraded(FaultPlan::new(9).with_unrecoverable_member(members - 1))
         .with_retry(fast_retry());
 
-    let (p, rep, _, log) = PEnkf { nsdx: 2, nsdy: 2 }
-        .run_faulted(&setup, &cfg)
-        .unwrap();
+    let (p, rep, _, log) = PEnkf { nsdx: 2, nsdy: 2 }.run(&setup, &cfg, None).unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(p.states(), reference.states(), "P-EnKF N−1 not bit-exact");
     assert!(log
@@ -75,13 +75,11 @@ fn degraded_dropout_matches_from_scratch_n_minus_1() {
         .iter()
         .any(|r| r.event == FaultEvent::MemberDropped && r.member == Some(members - 1)));
 
-    let (l, rep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }
-        .run_faulted(&setup, &cfg)
-        .unwrap();
+    let (l, rep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }.run(&setup, &cfg, None).unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(l.states(), reference.states(), "L-EnKF N−1 not bit-exact");
 
-    let (s, rep, _, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
+    let (s, rep, _, _) = SEnkf::new(SENKF).run(&setup, &cfg, None).unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(s.states(), reference.states(), "S-EnKF N−1 not bit-exact");
 }
@@ -104,13 +102,9 @@ fn degraded_dropout_agrees_across_variants() {
     let cfg = FaultConfig::degraded(FaultPlan::new(3).with_unrecoverable_member(2))
         .with_retry(fast_retry());
 
-    let (p, prep, _, _) = PEnkf { nsdx: 2, nsdy: 2 }
-        .run_faulted(&setup, &cfg)
-        .unwrap();
-    let (l, lrep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }
-        .run_faulted(&setup, &cfg)
-        .unwrap();
-    let (s, srep, _, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
+    let (p, prep, _, _) = PEnkf { nsdx: 2, nsdy: 2 }.run(&setup, &cfg, None).unwrap();
+    let (l, lrep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }.run(&setup, &cfg, None).unwrap();
+    let (s, srep, _, _) = SEnkf::new(SENKF).run(&setup, &cfg, None).unwrap();
     assert_eq!(prep.dropped_members, vec![2]);
     assert_eq!(lrep.dropped_members, vec![2]);
     assert_eq!(srep.dropped_members, vec![2]);
@@ -137,12 +131,12 @@ fn unrecoverable_without_degraded_is_a_typed_error() {
 
     for res in [
         PEnkf { nsdx: 2, nsdy: 2 }
-            .run_faulted(&setup, &cfg)
+            .run(&setup, &cfg, None)
             .map(|_| ()),
         LEnkf { nsdx: 2, nsdy: 2 }
-            .run_faulted(&setup, &cfg)
+            .run(&setup, &cfg, None)
             .map(|_| ()),
-        SEnkf::new(SENKF).run_faulted(&setup, &cfg).map(|_| ()),
+        SEnkf::new(SENKF).run(&setup, &cfg, None).map(|_| ()),
     ] {
         match res {
             Err(EnkfError::Substrate(SubstrateError::Unrecoverable { members })) => {
@@ -168,14 +162,14 @@ fn recoverable_fault_is_invisible_in_the_analysis() {
         observations: &h.scenario.observations,
         analysis: LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 }),
     };
-    let (clean, _, _) = LEnkf { nsdx: 2, nsdy: 2 }.run_traced(&setup).unwrap();
+    let (clean, _, _, _) = LEnkf { nsdx: 2, nsdy: 2 }
+        .run(&setup, &FaultConfig::none(), None)
+        .unwrap();
 
     let mut cfg =
         FaultConfig::degraded(FaultPlan::new(13).with_read_fault(1, 2)).with_retry(fast_retry());
     cfg.degraded = false; // nothing unrecoverable in the plan
-    let (faulted, report, trace, log) = LEnkf { nsdx: 2, nsdy: 2 }
-        .run_faulted(&setup, &cfg)
-        .unwrap();
+    let (faulted, report, trace, log) = LEnkf { nsdx: 2, nsdy: 2 }.run(&setup, &cfg, None).unwrap();
 
     assert_eq!(
         faulted.states(),
@@ -219,7 +213,7 @@ fn over_budget_injected_fault_is_unrecoverable_up_front() {
             ..RetryPolicy::default()
         });
     cfg.degraded = false;
-    match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
+    match (PEnkf { nsdx: 2, nsdy: 2 }).run(&setup, &cfg, None) {
         Err(EnkfError::Substrate(SubstrateError::Unrecoverable { members })) => {
             assert_eq!(members, vec![0]);
         }
@@ -248,7 +242,7 @@ fn exhausted_retries_surface_the_cause() {
         multiplier: 2.0,
         ..RetryPolicy::default()
     });
-    match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
+    match (PEnkf { nsdx: 2, nsdy: 2 }).run(&setup, &cfg, None) {
         Err(EnkfError::Substrate(SubstrateError::RetriesExhausted {
             member,
             attempts,

@@ -3,9 +3,9 @@
 //! planners (`enkf-parallel::model`): the modeled executors must reproduce
 //! the relationships the paper's evaluation relies on.
 
-use s_enkf::parallel::model::penkf::model_penkf;
 use s_enkf::parallel::model::reading::{model_block_read, model_concurrent_read};
-use s_enkf::parallel::model::senkf::model_senkf;
+use s_enkf::parallel::model_penkf_traced;
+use s_enkf::parallel::model_senkf_traced;
 use s_enkf::parallel::ModelConfig;
 use s_enkf::tuning::{autotune, Params, Workload};
 
@@ -26,8 +26,8 @@ fn small_cfg() -> ModelConfig {
 #[test]
 fn senkf_beats_penkf_when_reads_dominate() {
     let cfg = small_cfg();
-    let p = model_penkf(&cfg, 36, 18).unwrap();
-    let s = model_senkf(
+    let p = model_penkf_traced(&cfg, 36, 18).unwrap().0;
+    let (s, _) = model_senkf_traced(
         &cfg,
         Params {
             nsdx: 36,
@@ -52,7 +52,7 @@ fn des_makespan_tracks_closed_form_total_at_tuned_params() {
     let cfg = small_cfg();
     let cost = cfg.cost_params();
     let tuned = autotune(&cost, 800, 2e-2).expect("tunable");
-    let out = model_senkf(&cfg, tuned.params).unwrap();
+    let out = model_senkf_traced(&cfg, tuned.params).unwrap().0;
     let ratio = out.makespan / tuned.t_total;
     assert!(
         (0.5..2.0).contains(&ratio),
@@ -90,7 +90,7 @@ fn penkf_io_share_grows_with_ranks() {
     // Figure 1's shape at small scale.
     let cfg = small_cfg();
     let share = |nsdx: usize, nsdy: usize| {
-        let out = model_penkf(&cfg, nsdx, nsdy).unwrap();
+        let out = model_penkf_traced(&cfg, nsdx, nsdy).unwrap().0;
         let m = out.compute_mean;
         let io = m.read + m.comm + m.wait;
         io / (io + m.compute)
@@ -104,7 +104,7 @@ fn penkf_io_share_grows_with_ranks() {
 fn overlap_fraction_is_sustained_across_scales() {
     // Figure 11's shape: overlapped share stays high as ranks grow.
     let cfg = small_cfg();
-    let a = model_senkf(
+    let (a, _) = model_senkf_traced(
         &cfg,
         Params {
             nsdx: 12,
@@ -114,7 +114,7 @@ fn overlap_fraction_is_sustained_across_scales() {
         },
     )
     .unwrap();
-    let b = model_senkf(
+    let (b, _) = model_senkf_traced(
         &cfg,
         Params {
             nsdx: 36,
@@ -144,9 +144,9 @@ fn autotuned_configuration_is_competitive_on_the_des() {
     let cost = cfg.cost_params();
     let np = 700;
     let tuned = autotune(&cost, np, 2e-2).expect("tunable");
-    let good = model_senkf(&cfg, tuned.params).unwrap();
+    let good = model_senkf_traced(&cfg, tuned.params).unwrap().0;
     // Poor choice: no layering, single group, skewed decomposition.
-    let poor = model_senkf(
+    let (poor, _) = model_senkf_traced(
         &cfg,
         Params {
             nsdx: 120,
