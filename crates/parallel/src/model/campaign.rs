@@ -12,8 +12,9 @@
 //! single-cycle simulation is computed and replayed along a running clock.
 //! The two halves are separate steps: [`CyclePrice::new`] runs the cycle
 //! DES, [`CyclePrice::stitch`] walks the K-cycle clock over its numbers,
-//! so one price serves any number of campaign lengths, and a walk without
-//! a span sink builds no trace at all.
+//! so one price serves any number of campaign lengths. The price keeps the
+//! finished cycle simulation, not its trace: a walk without a span sink
+//! builds no span at all, and one with a sink exports the cycle once.
 //!
 //! Checkpoint and restore I/O is costed through the same OST service
 //! function the modeled PFS uses ([`PfsParams::read_service`]): one seek
@@ -33,6 +34,7 @@ use crate::CampaignExecutor;
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthSnapshot};
+use enkf_sim::Simulation;
 use enkf_trace::{Op, Role, Span, Trace};
 use std::collections::BTreeSet;
 
@@ -158,8 +160,9 @@ pub struct CyclePrice<'a> {
     cycle_fcfg: FaultConfig,
     /// The baseline, monitor-free single-cycle outcome.
     cycle: ModelOutcome,
-    /// The baseline cycle's trace, replayed along the campaign clock.
-    cycle_trace: Trace,
+    /// The baseline cycle's finished simulation. A stitch with a sink
+    /// exports its trace and replays it along the campaign clock.
+    cycle_sim: Simulation,
     /// Bytes of one checkpointed member.
     member_bytes: u64,
     /// Virtual seconds one member write (or restore read) costs.
@@ -197,7 +200,7 @@ impl<'a> CyclePrice<'a> {
         // attempts in both modes; it is also the replayed cycle when no
         // monitor is attached. Run monitor-free so pricing feeds no
         // observations.
-        let (cycle, cycle_trace, _) = variant.model(cfg, &cycle_fcfg, None)?;
+        let (cycle, cycle_sim, _) = variant.simulate(cfg, &cycle_fcfg, None)?;
 
         let member_bytes = 8 * (cfg.workload.nx * cfg.workload.ny) as u64;
         let member_service = cfg.pfs.read_service(1, member_bytes);
@@ -218,7 +221,7 @@ impl<'a> CyclePrice<'a> {
             if streams > 1 {
                 let share = (streams - 1) as f64 / streams as f64;
                 let (shared, _, _) =
-                    variant.model(&cfg.with_bandwidth_share(share), &cycle_fcfg, None)?;
+                    variant.simulate(&cfg.with_bandwidth_share(share), &cycle_fcfg, None)?;
                 let dilation = (shared.makespan - m).max(0.0) * checkpoint_time.min(m)
                     / m.max(f64::MIN_POSITIVE);
                 (dilation, (checkpoint_time - m).max(0.0))
@@ -238,7 +241,7 @@ impl<'a> CyclePrice<'a> {
             fcfg,
             cycle_fcfg,
             cycle,
-            cycle_trace,
+            cycle_sim,
             member_bytes,
             member_service,
             checkpoint_time,
@@ -267,9 +270,9 @@ impl<'a> CyclePrice<'a> {
         let sup_rank = cycle.total_ranks();
         let layers = self.variant.layers();
         let pipelined = camp.pipelined && camp.checkpoint;
-        let base_digest = sink
-            .is_some()
-            .then(|| fnv64(self.cycle_trace.digest().as_bytes()));
+        let label = self.variant.model_label();
+        let base_trace = sink.is_some().then(|| self.cycle_sim.export_trace(label));
+        let base_digest = base_trace.as_ref().map(|tr| fnv64(tr.digest().as_bytes()));
 
         let mut t = 0.0f64;
         let mut lost = 0.0f64;
@@ -387,8 +390,8 @@ impl<'a> CyclePrice<'a> {
             let dilation = if inflight { ckpt_dilation } else { 0.0 };
             match monitor.as_deref_mut() {
                 None => {
-                    replay(&mut sink, &self.cycle_trace, t);
-                    if let Some(d) = base_digest {
+                    if let (Some(tr), Some(d)) = (&base_trace, base_digest) {
+                        replay(&mut sink, tr, t);
                         cycle_digests.push(d);
                     }
                     t += cycle.makespan;
@@ -397,11 +400,12 @@ impl<'a> CyclePrice<'a> {
                     // Adaptive: this cycle's reads follow the current
                     // frozen view, so the DES must be rebuilt, and the
                     // boundary fold refreezes the view for the next cycle.
-                    let (out, tr, _) = self.variant.model(cfg, &self.cycle_fcfg, Some(mon))?;
+                    let (out, sim, _) = self.variant.simulate(cfg, &self.cycle_fcfg, Some(mon))?;
                     if sink.is_some() {
+                        let tr = sim.export_trace(label);
                         cycle_digests.push(fnv64(tr.digest().as_bytes()));
+                        replay(&mut sink, &tr, t);
                     }
-                    replay(&mut sink, &tr, t);
                     t += out.makespan;
                     health_snapshots.push(mon.end_cycle());
                 }

@@ -8,7 +8,7 @@
 //! and one batched-transform compute gated on every peer's block.
 
 use crate::exec::denkf::exchange_bytes;
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
+use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, Mesh, ObservationNetwork};
@@ -16,7 +16,7 @@ use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
 use enkf_pfs::ModeledPfs;
 use enkf_sim::{Kind, Simulation, Task, TaskId};
-use enkf_trace::{OpTag, Trace};
+use enkf_trace::OpTag;
 
 /// Build and run the DES for a D-EnKF assimilation with `shards` state
 /// shards (= ranks). The trace's operation digest matches the real
@@ -41,7 +41,7 @@ pub(crate) fn model_denkf_adaptive(
     shards: usize,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let decomp = Decomposition::new(mesh, 1, shards).map_err(|e| e.to_string())?;
@@ -136,7 +136,7 @@ pub(crate) fn model_denkf_adaptive(
         let t = sim
             .add_task(
                 Task::new(agents[r], Kind::Compute, service)
-                    .with_deps(sends_to[r].clone())
+                    .with_deps(std::mem::take(&mut sends_to[r]))
                     .with_op(OpTag::default()),
             )
             .map_err(|e| e.to_string())?;
@@ -144,16 +144,7 @@ pub(crate) fn model_denkf_adaptive(
     }
 
     let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("denkf-model");
-    let mut total = enkf_trace::PhaseTotals::default();
-    for t in trace.per_rank_phases().values() {
-        total.read += t.read;
-        total.comm += t.comm;
-        total.compute += t.compute;
-        total.wait += t.wait;
-        total.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(total).scaled(1.0 / shards as f64);
+    let compute_mean = phase_sum(&report.agents).scaled(1.0 / shards as f64);
     let makespan = report.makespan;
     let first_compute_start = compute_tasks
         .iter()
@@ -169,7 +160,7 @@ pub(crate) fn model_denkf_adaptive(
             first_compute_start,
             dropped_members: dropped,
         },
-        trace,
+        sim,
         injector.into_log(),
     ))
 }

@@ -11,7 +11,7 @@
 //! matching the real executor, whose wait spans are excluded from the
 //! operation digest.
 
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
+use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
 use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
@@ -57,7 +57,7 @@ pub(crate) fn model_lenkf_adaptive(
     nsdy: usize,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let decomp = Decomposition::new(mesh, nsdx, nsdy).map_err(|e| e.to_string())?;
@@ -141,7 +141,7 @@ pub(crate) fn model_lenkf_adaptive(
         let t = sim
             .add_task(
                 Task::new(agents[r], Kind::Compute, comp)
-                    .with_deps(sends_to[r].clone())
+                    .with_deps(std::mem::take(&mut sends_to[r]))
                     .with_op(OpTag::default()),
             )
             .map_err(|e| e.to_string())?;
@@ -149,16 +149,7 @@ pub(crate) fn model_lenkf_adaptive(
     }
 
     let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("lenkf-model");
-    let mut total = enkf_trace::PhaseTotals::default();
-    for t in trace.per_rank_phases().values() {
-        total.read += t.read;
-        total.comm += t.comm;
-        total.compute += t.compute;
-        total.wait += t.wait;
-        total.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(total).scaled(1.0 / ranks as f64);
+    let compute_mean = phase_sum(&report.agents).scaled(1.0 / ranks as f64);
     let first_compute_start = compute_tasks
         .iter()
         .map(|&t| sim.task_times(t).1)
@@ -173,7 +164,7 @@ pub(crate) fn model_lenkf_adaptive(
             first_compute_start,
             dropped_members: dropped,
         },
-        trace,
+        sim,
         injector.into_log(),
     ))
 }

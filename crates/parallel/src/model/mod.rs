@@ -13,7 +13,7 @@ use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_net::NetParams;
 use enkf_pfs::{ModeledPfs, PfsParams};
-use enkf_sim::{AgentId, Kind, ResourceId, Simulation, Task};
+use enkf_sim::{AgentId, AgentReport, Kind, ResourceId, Simulation, Task};
 use enkf_trace::{OpTag, Trace};
 use enkf_tuning::Workload;
 
@@ -148,6 +148,24 @@ pub(crate) fn weave_member_read(
     Ok(())
 }
 
+/// Phase totals summed over `agents` in agent order. The report's
+/// per-agent totals are exact projections of the spans
+/// [`Simulation::export_trace`] would build, so these are the per-rank
+/// span sums, added in the same order, without building a span.
+pub(crate) fn phase_sum<'a>(agents: impl IntoIterator<Item = &'a AgentReport>) -> PhaseBreakdown {
+    let mut total = PhaseBreakdown::default();
+    for a in agents {
+        total.merge(&PhaseBreakdown {
+            read: a.busy.read,
+            comm: a.busy.comm,
+            compute: a.busy.compute,
+            wait: a.wait,
+            fault: a.busy.fault,
+        });
+    }
+    total
+}
+
 /// The member order a health-aware rank reads in: blacklisted-OST members
 /// last (stable within each class), exactly [`enkf_health::RouteView::reorder`]
 /// on the monitor's frozen view; plan order when no monitor is attached.
@@ -278,6 +296,21 @@ impl CampaignExecutor {
         faults: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+        let (out, sim, log) = self.simulate(cfg, faults, monitor)?;
+        Ok((out, sim.export_trace(self.model_label()), log))
+    }
+
+    /// [`CampaignExecutor::model`] without its last step: the finished
+    /// simulation in place of its trace. The outcome is read off the run's
+    /// report, so a caller that wants only times (the capacity planner)
+    /// never builds a span; one that wants the trace exports it with
+    /// [`CampaignExecutor::model_label`].
+    pub(crate) fn simulate(
+        &self,
+        cfg: &ModelConfig,
+        faults: &FaultConfig,
+        monitor: Option<&HealthMonitor>,
+    ) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
         match *self {
             CampaignExecutor::LEnkf { nsdx, nsdy } => {
                 lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, faults, monitor)
@@ -291,6 +324,16 @@ impl CampaignExecutor {
             CampaignExecutor::DEnkf { shards, .. } => {
                 denkf::model_denkf_adaptive(cfg, shards, faults, monitor)
             }
+        }
+    }
+
+    /// The label of the trace [`CampaignExecutor::model`] exports.
+    pub(crate) fn model_label(&self) -> &'static str {
+        match self {
+            CampaignExecutor::LEnkf { .. } => "lenkf-model",
+            CampaignExecutor::PEnkf { .. } => "penkf-model",
+            CampaignExecutor::SEnkf(_) => "senkf-model",
+            CampaignExecutor::DEnkf { .. } => "denkf-model",
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Modeled P-EnKF: block reading then compute, at paper scale.
 
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
+use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::report::PhaseBreakdown;
 use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
@@ -54,7 +54,7 @@ pub(crate) fn model_penkf_adaptive(
     nsdy: usize,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let decomp = Decomposition::new(mesh, nsdx, nsdy).map_err(|e| e.to_string())?;
@@ -110,18 +110,7 @@ pub(crate) fn model_penkf_adaptive(
     }
 
     let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("penkf-model");
-    // The report is now *derived from* the trace: per-rank span sums are an
-    // exact projection of the DES busy/wait accounting (see `export_trace`).
-    let mut total = enkf_trace::PhaseTotals::default();
-    for t in trace.per_rank_phases().values() {
-        total.read += t.read;
-        total.comm += t.comm;
-        total.compute += t.compute;
-        total.wait += t.wait;
-        total.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(total).scaled(1.0 / ranks as f64);
+    let compute_mean = phase_sum(&report.agents).scaled(1.0 / ranks as f64);
     let makespan = report.makespan;
     let first_compute_start = compute_tasks
         .iter()
@@ -137,7 +126,7 @@ pub(crate) fn model_penkf_adaptive(
             first_compute_start,
             dropped_members: dropped,
         },
-        trace,
+        sim,
         injector.into_log(),
     ))
 }

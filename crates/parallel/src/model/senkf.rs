@@ -1,7 +1,6 @@
 //! Modeled S-EnKF: concurrent-group bar reading, multi-stage overlap.
 
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
+use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
 use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, SubDomainId};
@@ -24,7 +23,9 @@ pub fn model_senkf_traced(
 }
 
 /// Build and run the DES for an S-EnKF assimilation with parameters
-/// `(n_sdx, n_sdy, L, n_cg)`.
+/// `(n_sdx, n_sdy, L, n_cg)`. Returns the outcome, the finished
+/// simulation (its [`Simulation::export_trace`] is the trace
+/// [`CampaignExecutor::model`] returns) and the fault log.
 ///
 /// Agents: `C₂` compute ranks plus `C₁ = n_cg · n_sdy` I/O ranks. Per stage
 /// `l`, I/O rank `(g, j)` reads one single-seek small bar per group file and
@@ -63,7 +64,7 @@ pub fn model_senkf_adaptive(
     helper_thread: bool,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let decomp = Decomposition::new(mesh, params.nsdx, params.nsdy).map_err(|e| e.to_string())?;
@@ -202,11 +203,11 @@ pub fn model_senkf_adaptive(
         if let Some(mon) = monitor {
             mon.observe_compute(r, dilation);
         }
-        for (l, stage_sends) in sends.iter().enumerate() {
+        for (l, stage_sends) in sends.iter_mut().enumerate() {
             let layer = decomp.layer(id, l, params.layers);
             let service = cfg.compute_cost_per_point * layer.npoints() as f64 * dilation;
             let deps = if helper_thread {
-                stage_sends[r].clone()
+                std::mem::take(&mut stage_sends[r])
             } else {
                 let block = decomp.block_of_small_bar(id, l, params.layers, radius);
                 let bytes = layout.region_bytes(&block) * files_per_group as u64;
@@ -214,7 +215,7 @@ pub fn model_senkf_adaptive(
                 let t = sim
                     .add_task(
                         Task::new(compute_agents[r], Kind::Comm, ingest)
-                            .with_deps(stage_sends[r].clone())
+                            .with_deps(std::mem::take(&mut stage_sends[r]))
                             .with_op(OpTag {
                                 stage: Some(l),
                                 bytes,
@@ -239,22 +240,9 @@ pub fn model_senkf_adaptive(
     }
 
     let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("senkf-model");
-    // The report is now *derived from* the trace: per-rank span sums are an
-    // exact projection of the DES busy/wait accounting (see `export_trace`).
-    let phases = trace.per_rank_phases();
-    let mut cagg = enkf_trace::PhaseTotals::default();
-    let mut iagg = enkf_trace::PhaseTotals::default();
-    for (rank, t) in &phases {
-        let agg = if *rank < c2 { &mut cagg } else { &mut iagg };
-        agg.read += t.read;
-        agg.comm += t.comm;
-        agg.compute += t.compute;
-        agg.wait += t.wait;
-        agg.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(cagg).scaled(1.0 / c2 as f64);
-    let io_mean = PhaseBreakdown::from(iagg).scaled(1.0 / c1 as f64);
+    // Agent ids are rank numbers: compute ranks first, then I/O ranks.
+    let compute_mean = phase_sum(&report.agents[..c2]).scaled(1.0 / c2 as f64);
+    let io_mean = phase_sum(&report.agents[c2..]).scaled(1.0 / c1 as f64);
     let first_compute_start = compute_tasks
         .iter()
         .map(|&t| sim.task_times(t).1)
@@ -269,7 +257,7 @@ pub fn model_senkf_adaptive(
             first_compute_start,
             dropped_members: dropped,
         },
-        trace,
+        sim,
         injector.into_log(),
     ))
 }

@@ -58,8 +58,9 @@ impl PhaseBreakdown {
     }
 
     /// Project execution-trace spans into the four-phase breakdown by
-    /// summing durations per operation kind. Both executors' reports are
-    /// built this way, making the trace the single source of truth.
+    /// summing durations per operation kind. The real executors' reports
+    /// are built this way. The DES models read the same sums off the
+    /// simulation's report, an exact projection of the spans it exports.
     pub fn from_spans<'a>(spans: impl IntoIterator<Item = &'a enkf_trace::Span>) -> Self {
         let mut totals = enkf_trace::PhaseTotals::default();
         for s in spans {

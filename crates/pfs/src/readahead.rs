@@ -203,7 +203,20 @@ mod tests {
     use crate::{FileStore, ScratchDir};
     use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
     use enkf_grid::{FileLayout, Mesh};
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Instant;
+
+    /// [`FAIL_READER_PANIC`] is process-global: armed by one test, it
+    /// fires in whichever pipeline's reader starts next, which may be a
+    /// sibling test's. Every test here that starts a reader holds this
+    /// lock, so the failpoint always fires in the pipeline that armed it.
+    static PIPELINES: Mutex<()> = Mutex::new(());
+
+    /// Take the pipeline lock. A sibling that failed while holding it
+    /// leaves no reader running, so a poisoned lock is still a valid one.
+    fn pipeline_lock() -> MutexGuard<'static, ()> {
+        PIPELINES.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn store(members: usize) -> (ScratchDir, FileStore) {
         let scratch = ScratchDir::new("readahead").unwrap();
@@ -236,6 +249,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_reads_bit_for_bit() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(3);
         let inj = FaultInjector::new(FaultConfig::none());
         let stages = plan(4, 3);
@@ -287,6 +301,7 @@ mod tests {
 
     #[test]
     fn consume_sees_stages_in_order() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(2);
         let inj = FaultInjector::new(FaultConfig::none());
         let stages = plan(5, 2);
@@ -310,6 +325,7 @@ mod tests {
 
     #[test]
     fn read_failure_stops_the_pipeline() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(2);
         let inj = FaultInjector::new(FaultConfig::none());
         let mut stages = plan(4, 2);
@@ -340,6 +356,7 @@ mod tests {
 
     #[test]
     fn consume_error_aborts_without_hanging() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(2);
         let inj = FaultInjector::new(FaultConfig::none());
         let stages = plan(6, 2);
@@ -360,6 +377,7 @@ mod tests {
 
     #[test]
     fn resilient_retries_match_sequential_under_faults() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(3);
         let cfg = FaultConfig::degraded(FaultPlan::new(11).with_read_fault(1, 1)).with_retry(
             RetryPolicy {
@@ -407,6 +425,7 @@ mod tests {
 
     #[test]
     fn reader_panic_is_contained_as_a_typed_error() {
+        let _pipelines = pipeline_lock();
         let (_s, st) = store(2);
         let inj = FaultInjector::new(FaultConfig::none());
         let stages = plan(3, 2);

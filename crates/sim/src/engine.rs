@@ -1,9 +1,43 @@
 //! The discrete-event scheduler.
+//!
+//! Tasks live in a compact store. The state the event loop touches on
+//! every event (service, ready and start times, agent, remaining
+//! dependencies, acquired resources, kind and state) sits in one small
+//! record per task. Everything else is side data in flat vectors: the
+//! operation tags, every task's resources in one list addressed by a
+//! `(start, len)` range, and the dependency edges, which are appended in
+//! insertion order and turned into a compressed dependents list once, when
+//! the run starts. Adding a task therefore allocates nothing of its own,
+//! and indices are kept in 32 bits (16 for a task's resource count); a
+//! graph that outgrows them is refused with [`SimError::Overflow`].
 
 use crate::report::{AgentReport, SimReport};
 use crate::task::{AgentId, Kind, ResourceId, Task, TaskId};
-use std::cmp::Reverse;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// A count the compact task store keeps narrower than `usize`; named by
+/// [`SimError::Overflow`] when a graph outgrows it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreLimit {
+    /// Tasks: their count, and so every task id and start sequence
+    /// number (32 bits).
+    Tasks,
+    /// Agent ids (32 bits).
+    Agents,
+    /// Resource ids (32 bits).
+    Resources,
+    /// Dependency edges over the whole graph (32 bits).
+    Edges,
+    /// Resource holdings over the whole graph (32 bits).
+    Holdings,
+    /// Distinct resources one task holds (16 bits).
+    TaskResources,
+    /// A stage, peer or member index in an operation tag (32 bits, with
+    /// `u32::MAX` reserved for "none").
+    OpIndex,
+}
 
 /// Errors from running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +55,9 @@ pub enum SimError {
     UnknownDependency(TaskId),
     /// A service time was negative or non-finite.
     BadService(TaskId),
+    /// Adding the task would overflow a count of the compact task store.
+    /// The simulation is left as it was before the call.
+    Overflow(StoreLimit),
 }
 
 impl std::fmt::Display for SimError {
@@ -32,6 +69,9 @@ impl std::fmt::Display for SimError {
             SimError::UnknownResource(r) => write!(f, "unknown resource id {:?}", r),
             SimError::UnknownDependency(t) => write!(f, "unknown dependency task id {t}"),
             SimError::BadService(t) => write!(f, "task {t} has a negative/non-finite service time"),
+            SimError::Overflow(what) => {
+                write!(f, "task graph outgrew the compact store: too many {what:?}")
+            }
         }
     }
 }
@@ -46,37 +86,149 @@ enum State {
     Done,
 }
 
+/// The per-task state the event loop reads and writes. A task finishes at
+/// `start + service`: the finish time is derived, never stored.
 struct TaskState {
-    agent: AgentId,
-    kind: Kind,
     service: f64,
-    resources: Vec<ResourceId>, // sorted ascending
-    acquired: usize,
-    remaining_deps: usize,
-    dependents: Vec<TaskId>,
-    state: State,
     ready: f64,
     start: f64,
-    finish: f64,
-    op: Option<enkf_trace::OpTag>,
+    agent: u32,
+    remaining_deps: u32,
+    acquired: u16,
+    kind: Kind,
+    state: State,
+}
+
+impl TaskState {
+    fn finish(&self) -> f64 {
+        self.start + self.service
+    }
+}
+
+/// A task's operation tag with its indices kept in 32 bits, `u32::MAX`
+/// standing for `None`. An untagged task stores the default tag, which is
+/// what the export reads for it.
+#[derive(Clone, Copy)]
+struct PackedOp {
+    bytes: u64,
+    seeks: u64,
+    stage: u32,
+    peer: u32,
+    member: u32,
+    io: bool,
+}
+
+const NO_INDEX: u32 = u32::MAX;
+
+impl PackedOp {
+    fn pack(tag: Option<enkf_trace::OpTag>) -> Result<Self, SimError> {
+        let tag = tag.unwrap_or_default();
+        let index = |i: Option<usize>| match i {
+            None => Ok(NO_INDEX),
+            Some(i) => u32::try_from(i)
+                .ok()
+                .filter(|&i| i != NO_INDEX)
+                .ok_or(SimError::Overflow(StoreLimit::OpIndex)),
+        };
+        Ok(PackedOp {
+            bytes: tag.bytes,
+            seeks: tag.seeks,
+            stage: index(tag.stage)?,
+            peer: index(tag.peer)?,
+            member: index(tag.member)?,
+            io: tag.io,
+        })
+    }
+
+    fn unpack(self) -> enkf_trace::OpTag {
+        let index = |i: u32| (i != NO_INDEX).then_some(i as usize);
+        enkf_trace::OpTag {
+            io: self.io,
+            stage: index(self.stage),
+            bytes: self.bytes,
+            seeks: self.seeks,
+            peer: index(self.peer),
+            member: index(self.member),
+        }
+    }
 }
 
 struct ResourceState {
     capacity: usize,
     free: usize,
-    queue: VecDeque<TaskId>,
+    queue: VecDeque<u32>,
 }
 
-/// Event-queue key with a total order on finite times.
-#[derive(PartialEq, PartialOrd)]
-struct EventKey(f64, u64);
+/// A pending completion: `task` finishes at `time`. `seq` numbers
+/// completions in the order their tasks started, breaking time ties
+/// deterministically; each task starts once, so it stays below the task
+/// count. Ordered so that the max-heap pops the earliest.
+struct Event {
+    time: f64,
+    seq: u32,
+    task: u32,
+}
 
-impl Eq for EventKey {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for EventKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other)
-            .expect("simulation times must be finite")
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: earliest time first, then lowest sequence number.
+        // Times are finite and never `-0.0` (they are sums of non-negative
+        // services starting from `+0.0`), where `total_cmp` agrees with
+        // the numeric order.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+/// Each task's dependents, in the order the edges were added: the
+/// dependents of task `t` are `targets[offsets[t]..offsets[t + 1]]`.
+struct Dependents {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Dependents {
+    /// Group `(dep, dependent)` edges by `dep` with a stable counting
+    /// sort, so each task wakes its dependents in edge-insertion order.
+    fn from_edges(tasks: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; tasks + 1];
+        for &(dep, _) in edges {
+            offsets[dep as usize + 1] += 1;
+        }
+        for t in 0..tasks {
+            offsets[t + 1] += offsets[t];
+        }
+        // Fill with `offsets[t]` as task t's cursor; afterwards it has
+        // advanced to t's end, which is t + 1's start, so shift back.
+        let mut targets = vec![0u32; edges.len()];
+        for &(dep, dependent) in edges {
+            let slot = &mut offsets[dep as usize];
+            targets[*slot as usize] = dependent;
+            *slot += 1;
+        }
+        offsets.copy_within(0..tasks, 1);
+        offsets[0] = 0;
+        Dependents { offsets, targets }
+    }
+
+    fn of(&self, task: usize) -> &[u32] {
+        &self.targets[self.offsets[task] as usize..self.offsets[task + 1] as usize]
     }
 }
 
@@ -101,9 +253,28 @@ impl Ord for EventKey {
 /// ```
 pub struct Simulation {
     tasks: Vec<TaskState>,
+    /// Operation tags, indexed by task.
+    ops: Vec<PackedOp>,
+    /// Each task's `(start, len)` range in `holdings`.
+    held: Vec<(u32, u16)>,
+    /// Every task's resources (each task's sorted ascending), back to back.
+    holdings: Vec<u32>,
+    /// `(dep, dependent)` pairs in insertion order, grouped into
+    /// [`Dependents`] when the run starts.
+    edges: Vec<(u32, u32)>,
     resources: Vec<ResourceState>,
     num_agents: usize,
     last_task_of_agent: Vec<Option<TaskId>>,
+}
+
+impl std::fmt::Debug for Simulation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Simulation")
+            .field("tasks", &self.tasks.len())
+            .field("agents", &self.num_agents)
+            .field("resources", &self.resources.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Default for Simulation {
@@ -117,6 +288,10 @@ impl Simulation {
     pub fn new() -> Self {
         Simulation {
             tasks: Vec::new(),
+            ops: Vec::new(),
+            held: Vec::new(),
+            holdings: Vec::new(),
+            edges: Vec::new(),
             resources: Vec::new(),
             num_agents: 0,
             last_task_of_agent: Vec::new(),
@@ -162,7 +337,7 @@ impl Simulation {
 
     /// Add a task; returns its id. Dependencies must already exist. An
     /// implicit dependency on the agent's previous task enforces program
-    /// order.
+    /// order. On error the simulation is unchanged.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, SimError> {
         let id = self.tasks.len();
         if !(task.service >= 0.0 && task.service.is_finite()) {
@@ -173,113 +348,147 @@ impl Simulation {
                 return Err(SimError::UnknownResource(r));
             }
         }
-        let mut deps = task.deps;
-        for &d in &deps {
+        for &d in &task.deps {
             if d >= id {
                 return Err(SimError::UnknownDependency(d));
             }
         }
         assert!(task.agent.0 < self.num_agents, "unknown agent");
-        if let Some(prev) = self.last_task_of_agent[task.agent.0] {
-            if !deps.contains(&prev) {
-                deps.push(prev);
-            }
-        }
-        self.last_task_of_agent[task.agent.0] = Some(id);
+        let narrow = |n: usize, what| u32::try_from(n).map_err(|_| SimError::Overflow(what));
+        let task_id = narrow(id + 1, StoreLimit::Tasks)? - 1;
+        let agent = narrow(task.agent.0, StoreLimit::Agents)?;
+        let prev = self.last_task_of_agent[task.agent.0].filter(|p| !task.deps.contains(p));
+        let num_deps = task.deps.len() + usize::from(prev.is_some());
+        let remaining_deps = narrow(num_deps, StoreLimit::Edges)?;
+        narrow(self.edges.len() + num_deps, StoreLimit::Edges)?;
         let mut resources = task.resources;
         resources.sort_unstable();
         resources.dedup();
-        for &d in &deps {
-            self.tasks[d].dependents.push(id);
+        if let Some(&last) = resources.last() {
+            narrow(last.0, StoreLimit::Resources)?;
         }
+        let num_held = u16::try_from(resources.len())
+            .map_err(|_| SimError::Overflow(StoreLimit::TaskResources))?;
+        let held_start = narrow(self.holdings.len(), StoreLimit::Holdings)?;
+        narrow(self.holdings.len() + resources.len(), StoreLimit::Holdings)?;
+        let op = PackedOp::pack(task.op)?;
+
+        // Validated: from here on nothing fails.
+        self.last_task_of_agent[task.agent.0] = Some(id);
+        // Dependency ids are below `id`, so they fit as well.
+        for &d in task.deps.iter().chain(&prev) {
+            self.edges.push((d as u32, task_id));
+        }
+        // The largest resource id was checked to fit above.
+        self.holdings.extend(resources.iter().map(|r| r.0 as u32));
+        self.held.push((held_start, num_held));
+        self.ops.push(op);
         self.tasks.push(TaskState {
-            agent: task.agent,
-            kind: task.kind,
             service: task.service,
-            resources,
-            acquired: 0,
-            remaining_deps: deps.len(),
-            dependents: Vec::new(),
-            state: State::WaitingDeps,
             ready: 0.0,
             start: 0.0,
-            finish: 0.0,
-            op: task.op,
+            agent,
+            remaining_deps,
+            acquired: 0,
+            kind: task.kind,
+            state: State::WaitingDeps,
         });
         Ok(id)
     }
 
-    /// Run to completion and return the per-agent phase report.
+    /// Run to completion and return the per-agent phase report. A
+    /// simulation runs once.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        let mut events: BinaryHeap<Reverse<(EventKey, TaskId)>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut started: Vec<TaskId> = Vec::new();
+        let n = self.tasks.len();
+        let dependents = Dependents::from_edges(n, &std::mem::take(&mut self.edges));
+        let mut events: BinaryHeap<Event> = BinaryHeap::new();
+        let mut seq: u32 = 0;
+        let mut started: Vec<u32> = Vec::new();
 
-        // Seed: tasks with no dependencies are ready at t = 0.
-        let initially_ready: Vec<TaskId> = (0..self.tasks.len())
-            .filter(|&t| self.tasks[t].remaining_deps == 0)
-            .collect();
-        for t in initially_ready {
-            self.mark_ready(t, 0.0, &mut started);
+        // Seed: tasks with no dependencies are ready at t = 0. Readiness
+        // only moves resources, never dependency counts, so marking while
+        // scanning sees the same set a scan-then-mark would.
+        for t in 0..n {
+            if self.tasks[t].remaining_deps == 0 {
+                self.mark_ready(t, 0.0, &mut started);
+            }
         }
-        Self::flush_started(&mut started, &mut events, &mut seq, &self.tasks, 0.0);
+        events.extend(started.drain(..).map(|t| self.completion(t, 0.0, &mut seq)));
 
         let mut finished = 0usize;
         let mut makespan = 0.0f64;
-        while let Some(Reverse((EventKey(now, _), tid))) = events.pop() {
-            // Task `tid` finishes at `now`.
+        loop {
+            let Some(mut top) = events.peek_mut() else {
+                break;
+            };
+            // Task `tid` finishes at `now`, which is its start + service.
+            let (now, tid) = (top.time, top.task as usize);
             debug_assert_eq!(self.tasks[tid].state, State::Running);
             self.tasks[tid].state = State::Done;
-            self.tasks[tid].finish = now;
             makespan = makespan.max(now);
             finished += 1;
 
-            // Release resources and wake queued tasks (FIFO). Indexed, not
-            // cloned: waking a waiter never touches the finished task's
-            // resource list, and the loop stays allocation-free.
-            for i in 0..self.tasks[tid].resources.len() {
-                let r = self.tasks[tid].resources[i];
-                self.resources[r.0].free += 1;
+            // Release resources and wake queued tasks (FIFO). Waking a
+            // waiter never touches the finished task's holdings, and the
+            // loop stays allocation-free.
+            for i in self.held_range(tid) {
+                let r = self.holdings[i] as usize;
+                self.resources[r].free += 1;
                 loop {
-                    let rs = &mut self.resources[r.0];
-                    if rs.free == 0 || rs.queue.is_empty() {
+                    let rs = &mut self.resources[r];
+                    if rs.free == 0 {
                         break;
                     }
-                    let next = rs.queue.pop_front().expect("checked non-empty");
+                    let Some(next) = rs.queue.pop_front() else {
+                        break;
+                    };
                     rs.free -= 1;
+                    let next = next as usize;
                     self.tasks[next].acquired += 1;
                     self.try_advance(next, now, &mut started);
                 }
             }
 
             // Notify dependents.
-            let deps = std::mem::take(&mut self.tasks[tid].dependents);
-            for d in &deps {
-                self.tasks[*d].remaining_deps -= 1;
-                if self.tasks[*d].remaining_deps == 0 {
-                    self.mark_ready(*d, now, &mut started);
+            for &d in dependents.of(tid) {
+                let d = d as usize;
+                self.tasks[d].remaining_deps -= 1;
+                if self.tasks[d].remaining_deps == 0 {
+                    self.mark_ready(d, now, &mut started);
                 }
             }
-            self.tasks[tid].dependents = deps;
 
-            Self::flush_started(&mut started, &mut events, &mut seq, &self.tasks, now);
+            // The first task this completion started takes the completion's
+            // place in the heap: one sift instead of a pop and a push. Keys
+            // are unique, so the heap pops the same sequence either way.
+            let mut newly = started.drain(..);
+            match newly.next() {
+                Some(first) => {
+                    *top = self.completion(first, now, &mut seq);
+                    drop(top);
+                }
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            events.extend(newly.map(|t| self.completion(t, now, &mut seq)));
         }
 
-        if finished != self.tasks.len() {
+        if finished != n {
             return Err(SimError::Stuck {
-                unfinished: self.tasks.len() - finished,
+                unfinished: n - finished,
             });
         }
 
         let mut agents = vec![AgentReport::default(); self.num_agents];
         let mut resource_busy = vec![0.0; self.resources.len()];
-        for t in &self.tasks {
-            let a = &mut agents[t.agent.0];
+        for (i, t) in self.tasks.iter().enumerate() {
+            let a = &mut agents[t.agent as usize];
             a.busy.add(t.kind, t.service);
             a.wait += t.start - t.ready;
-            a.finish = a.finish.max(t.finish);
-            for r in &t.resources {
-                resource_busy[r.0] += t.service;
+            a.finish = a.finish.max(t.finish());
+            for &r in &self.holdings[self.held_range(i)] {
+                resource_busy[r as usize] += t.service;
             }
         }
         Ok(SimReport {
@@ -293,7 +502,7 @@ impl Simulation {
     /// `(ready, start, finish)` times of a task — valid after [`Simulation::run`].
     pub fn task_times(&self, id: TaskId) -> (f64, f64, f64) {
         let t = &self.tasks[id];
-        (t.ready, t.start, t.finish)
+        (t.ready, t.start, t.finish())
     }
 
     /// Export the run as an execution trace — valid after
@@ -304,17 +513,21 @@ impl Simulation {
     /// queues. [`SimReport`](crate::SimReport)'s busy/wait totals are exact
     /// projections of these spans: per agent, busy time by kind equals the
     /// span durations by operation and wait time equals the wait-span sum.
+    ///
+    /// The report already holds those totals, so callers that only need
+    /// phase totals or the makespan read the report and skip this call;
+    /// the spans are built only here, for callers that want the trace.
     pub fn export_trace(&self, label: &str) -> enkf_trace::Trace {
         use enkf_trace::{Op, Role, Span};
         let mut trace = enkf_trace::Trace::new(label);
-        for t in &self.tasks {
+        for (i, t) in self.tasks.iter().enumerate() {
             debug_assert_eq!(
                 t.state,
                 State::Done,
                 "export_trace requires a completed run"
             );
-            let tag = t.op.unwrap_or_default();
-            let rank = t.agent.0;
+            let tag = self.ops[i].unpack();
+            let rank = t.agent as usize;
             let role = if tag.io { Role::Io } else { Role::Compute };
             let wait = t.start - t.ready;
             if wait > 0.0 {
@@ -355,7 +568,9 @@ impl Simulation {
                 seeks: tag.seeks,
                 peer: tag.peer,
                 member: tag.member,
-                res: t.resources.first().map(|r| r.0),
+                res: self.holdings[self.held_range(i)]
+                    .first()
+                    .map(|&r| r as usize),
                 tenant: None,
                 job: None,
             });
@@ -363,7 +578,13 @@ impl Simulation {
         trace
     }
 
-    fn mark_ready(&mut self, tid: TaskId, now: f64, started: &mut Vec<TaskId>) {
+    /// Where task `tid`'s resources sit in `holdings`.
+    fn held_range(&self, tid: usize) -> std::ops::Range<usize> {
+        let (start, len) = self.held[tid];
+        start as usize..start as usize + usize::from(len)
+    }
+
+    fn mark_ready(&mut self, tid: usize, now: f64, started: &mut Vec<u32>) {
         let t = &mut self.tasks[tid];
         debug_assert_eq!(t.state, State::WaitingDeps);
         t.state = State::Acquiring;
@@ -376,40 +597,41 @@ impl Simulation {
     /// already acquired `acquired` resources; try to take the rest. Blocks
     /// (enqueues) on the first resource without a free slot. When all
     /// resources are held, records the start time and pushes to `started`.
-    fn try_advance(&mut self, tid: TaskId, now: f64, started: &mut Vec<TaskId>) {
+    fn try_advance(&mut self, tid: usize, now: f64, started: &mut Vec<u32>) {
+        let held = self.held_range(tid);
         loop {
-            let next_idx = self.tasks[tid].acquired;
-            if next_idx == self.tasks[tid].resources.len() {
+            let next_idx = usize::from(self.tasks[tid].acquired);
+            if next_idx == held.len() {
                 let t = &mut self.tasks[tid];
                 t.state = State::Running;
                 t.start = now;
-                started.push(tid);
+                // Task ids were checked to fit when the task was added.
+                started.push(tid as u32);
                 return;
             }
-            let r = self.tasks[tid].resources[next_idx];
-            let rs = &mut self.resources[r.0];
+            let r = self.holdings[held.start + next_idx] as usize;
+            let rs = &mut self.resources[r];
             if rs.free > 0 && rs.queue.is_empty() {
                 rs.free -= 1;
                 self.tasks[tid].acquired += 1;
             } else {
-                rs.queue.push_back(tid);
+                rs.queue.push_back(tid as u32);
                 return;
             }
         }
     }
 
-    fn flush_started(
-        started: &mut Vec<TaskId>,
-        events: &mut BinaryHeap<Reverse<(EventKey, TaskId)>>,
-        seq: &mut u64,
-        tasks: &[TaskState],
-        now: f64,
-    ) {
-        for tid in started.drain(..) {
-            let finish = now + tasks[tid].service;
-            events.push(Reverse((EventKey(finish, *seq), tid)));
-            *seq += 1;
-        }
+    /// The completion of `task`, which started at `now`, numbered next in
+    /// start order. Its time is the same `start + service` sum
+    /// [`TaskState::finish`] derives.
+    fn completion(&self, task: u32, now: f64, seq: &mut u32) -> Event {
+        let event = Event {
+            time: now + self.tasks[task as usize].service,
+            seq: *seq,
+            task,
+        };
+        *seq += 1;
+        event
     }
 }
 
@@ -750,5 +972,86 @@ mod tests {
             ids.iter().map(|&t| sim.task_times(t)).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn too_many_resources_on_one_task_is_a_typed_error() {
+        // A task's resource count is kept in 16 bits: 65,536 distinct
+        // resources on one task overflow it.
+        let mut sim = Simulation::new();
+        let a = sim.add_agent();
+        let res: Vec<_> = (0..=u16::MAX as usize)
+            .map(|_| sim.add_resource(1))
+            .collect();
+        let err = sim
+            .add_task(Task::new(a, Kind::Read, 1.0).with_resources(res.clone()))
+            .unwrap_err();
+        assert_eq!(err, SimError::Overflow(StoreLimit::TaskResources));
+        assert_eq!(sim.num_tasks(), 0, "a refused task leaves no trace");
+        // One fewer fits, and the refused call left nothing half-added.
+        let t = sim
+            .add_task(Task::new(a, Kind::Read, 1.0).with_resources(res[1..].to_vec()))
+            .unwrap();
+        let rep = sim.run().unwrap();
+        assert_eq!(rep.makespan, 1.0);
+        assert_eq!(sim.task_times(t), (0.0, 0.0, 1.0));
+        assert_eq!(rep.resource_busy[0], 0.0);
+        assert_eq!(rep.resource_busy[1], 1.0);
+    }
+
+    #[test]
+    fn hot_task_record_stays_compact() {
+        assert_eq!(std::mem::size_of::<TaskState>(), 40);
+        assert_eq!(std::mem::size_of::<PackedOp>(), 32);
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    #[test]
+    fn op_index_beyond_32_bits_is_a_typed_error() {
+        use enkf_trace::OpTag;
+        let mut sim = Simulation::new();
+        let a = sim.add_agent();
+        let tagged = |member| {
+            Task::new(a, Kind::Read, 1.0).with_op(OpTag {
+                member: Some(member),
+                ..OpTag::default()
+            })
+        };
+        // `u32::MAX` is the packed store's "none".
+        assert_eq!(
+            sim.add_task(tagged(u32::MAX as usize)).unwrap_err(),
+            SimError::Overflow(StoreLimit::OpIndex)
+        );
+        assert_eq!(sim.num_tasks(), 0);
+        sim.add_task(tagged(u32::MAX as usize - 1)).unwrap();
+        sim.run().unwrap();
+        let spans = sim.export_trace("t");
+        assert_eq!(spans.spans()[0].member, Some(u32::MAX as usize - 1));
+    }
+
+    #[test]
+    fn dependents_wake_in_edge_insertion_order() {
+        // Three consumers of one producer, added out of agent order, all
+        // contend for one slot: the grant order is the order their edges
+        // were added.
+        let mut sim = Simulation::new();
+        let r = sim.add_resource(1);
+        let p = sim.add_agent();
+        let producer = sim.add_task(Task::new(p, Kind::Compute, 1.0)).unwrap();
+        let agents = sim.add_agents(3);
+        let ids: Vec<_> = [2, 0, 1]
+            .iter()
+            .map(|&i| {
+                sim.add_task(
+                    Task::new(agents[i], Kind::Read, 1.0)
+                        .with_resources(vec![r])
+                        .with_deps(vec![producer, producer]),
+                )
+                .unwrap()
+            })
+            .collect();
+        sim.run().unwrap();
+        let starts: Vec<f64> = ids.iter().map(|&t| sim.task_times(t).1).collect();
+        assert_eq!(starts, vec![1.0, 2.0, 3.0]);
     }
 }

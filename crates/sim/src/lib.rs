@@ -25,10 +25,21 @@
 //! The engine is deterministic: ties in the event queue are broken by
 //! insertion sequence.
 //!
-//! After a run, [`Simulation::export_trace`](engine::Simulation::export_trace)
-//! yields the execution as `enkf_trace` spans in virtual time — the same
+//! Tasks are kept in a compact store: one small record per task for what
+//! the event loop touches, and flat side vectors for resources, dependency
+//! edges and operation tags, so adding a task allocates nothing of its
+//! own. Indices are kept in 32 bits; a graph that outgrows them is refused
+//! with a typed [`SimError::Overflow`](engine::SimError::Overflow), never
+//! truncated.
+//!
+//! A run's [`SimReport`] carries every per-agent phase total. Spans are
+//! built only on request: after a run,
+//! [`Simulation::export_trace`](engine::Simulation::export_trace) yields
+//! the execution as `enkf_trace` spans in virtual time — the same
 //! vocabulary the real executors record in wall time — so real-vs-modeled
-//! operation structure can be compared digest-for-digest.
+//! operation structure can be compared digest-for-digest. The report's
+//! totals are exact projections of those spans, so a caller that needs
+//! only times (the capacity planner) reads the report and never exports.
 
 pub mod engine;
 pub mod report;

@@ -34,9 +34,13 @@ echo "==> scheduler suites: fair-share properties + multi-tenant isolation"
 cargo test -q -p enkf-sched
 cargo test -q --test scheduler_conformance
 
-echo "==> allocation regression: steady-state data plane and DES event loop (release)"
+echo "==> allocation regression: steady-state data plane (release)"
 cargo test -q --release --test dataplane_alloc_free
-cargo test -q --release -p enkf-sim --test alloc_free
+
+echo "==> DES engine regression (release): engine unit tests, proptests,"
+echo "    allocation-free construction and event loop, golden DES timings"
+cargo test -q --release -p enkf-sim
+cargo test -q --release --test des_golden
 
 echo "==> kernel conformance matrix: default / fast-math / no-SIMD features"
 cargo test -q -p enkf-linalg
