@@ -465,7 +465,7 @@ impl CheckpointStore {
 /// [`enkf_pfs::BufferPool`] (the PR 7 `kernel::convert` path), checksums
 /// those same bytes, and hands them to the durable write path — one
 /// conversion instead of two, and zero payload allocations at steady
-/// state (pinned by `tests/dataplane_alloc_free.rs`).
+/// state (pinned by `tests/checkpoint_alloc_free.rs`).
 #[derive(Debug, Default)]
 pub struct MemberEncoder {
     col: Vec<f64>,

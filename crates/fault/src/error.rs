@@ -83,6 +83,16 @@ pub enum SubstrateError {
         /// The rank whose receive was orphaned.
         rank: usize,
     },
+    /// A peer this rank was waiting on failed and sent an abort notice in
+    /// place of its data. A consequence, never a cause: the executors
+    /// report the peer's own failure and fall back to this only when no
+    /// rank has another error.
+    PeerAborted {
+        /// The rank that stopped waiting.
+        rank: usize,
+        /// The peer that aborted.
+        peer: usize,
+    },
     /// A rank was crashed by the fault plan at the given stage.
     RankCrashed {
         /// The crashed rank.
@@ -126,6 +136,9 @@ impl std::fmt::Display for SubstrateError {
             }
             SubstrateError::PeerExited { rank } => {
                 write!(f, "rank {rank} receive orphaned: all peers have exited")
+            }
+            SubstrateError::PeerAborted { rank, peer } => {
+                write!(f, "rank {rank} stopped waiting: peer {peer} aborted")
             }
             SubstrateError::RankCrashed { rank, stage } => {
                 write!(f, "rank {rank} crashed at stage {stage}")
@@ -180,5 +193,7 @@ mod tests {
         let e = SubstrateError::PeerExited { rank: 3 };
         assert!(e.to_string().contains("rank 3"));
         assert!(e.to_string().contains("exited"));
+        let e = SubstrateError::PeerAborted { rank: 1, peer: 4 };
+        assert!(e.to_string().contains("peer 4 aborted"));
     }
 }

@@ -6,16 +6,16 @@
 //! reproduction needs:
 //!
 //! * [`real`] — an in-process "cluster": ranks are OS threads connected by
-//!   crossbeam channels with MPI-ish semantics (typed point-to-point sends
-//!   with source/tag matching, barriers, broadcast/gather built on p2p).
-//!   A rank may hand its receive endpoint to a helper thread — exactly the
-//!   helper-thread communication offload of the paper's Figure 8.
+//!   crossbeam channels, with typed point-to-point sends and one receive
+//!   (optional timeout, typed errors for silent or exited peers). A rank
+//!   may hand its [`Inbox`] to a helper thread — exactly the helper-thread
+//!   communication offload of the paper's Figure 8.
 //! * [`model`] — the classic latency–bandwidth (the paper's `a`–`b`) cost
-//!   model with logarithmic tree factors for group communication, plus NIC
-//!   resources for the DES so receive-side serialization is captured.
+//!   model, plus NIC resources for the DES so receive-side serialization
+//!   is captured.
 
 pub mod model;
 pub mod real;
 
 pub use model::{ModeledNet, NetParams};
-pub use real::{Cluster, Envelope, RankCtx};
+pub use real::{Cluster, Envelope, Inbox, RankCtx};

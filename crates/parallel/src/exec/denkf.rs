@@ -24,38 +24,28 @@
 //! the one-shard product: shard-count invariance is exact.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults};
-use crate::report::{ExecutionReport, PhaseBreakdown};
-use enkf_core::{batched_transform, BatchedKernel, EnkfError, Ensemble, Result};
+use crate::exec::{abort_peers, receive, Cycle, Wire};
+use crate::report::ExecutionReport;
+use enkf_core::{batched_transform, BatchedKernel, Ensemble, Result};
 use enkf_data::region_to_matrix;
 use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
-use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_net::RankCtx;
 use enkf_trace::Trace;
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The observation-space payload of the all-to-all exchange.
+/// One shard's observed anomaly and innovation rows: the payload of the
+/// all-to-all exchange.
 #[derive(Debug, Clone)]
-enum DMsg {
-    /// One shard's observed anomaly and innovation rows.
-    ObsBlock {
-        /// Global observation-row indices, ascending (the shard's rows of
-        /// the network).
-        rows: Vec<usize>,
-        /// The shard's rows of `S = H U` (`m_loc × N_alive`).
-        s: Matrix,
-        /// The shard's rows of `D = Yˢ − H Xᵇ` (`m_loc × N_alive`).
-        d: Matrix,
-    },
-    /// A sender failed before producing its block; receivers must stop
-    /// waiting instead of deadlocking.
-    Abort {
-        /// Human-readable failure description.
-        reason: String,
-    },
+struct ObsBlock {
+    /// Global observation-row indices, ascending (the shard's rows of the
+    /// network).
+    rows: Vec<usize>,
+    /// The shard's rows of `S = H U` (`m_loc × N_alive`).
+    s: Matrix,
+    /// The shard's rows of `D = Yˢ − H Xᵇ` (`m_loc × N_alive`).
+    d: Matrix,
 }
 
 /// Wire size of one shard's observation block: `rows` indices (8 bytes
@@ -110,81 +100,38 @@ impl DEnkf {
         setup.validate()?;
         // Shards are full-width bars: the `1 × shards` decomposition.
         let decomp = setup.decomposition(1, self.shards)?;
-        let mesh = setup.mesh();
         let nranks = decomp.num_subdomains();
         let kernel = self.kernel;
-        let prep = prepare_faults(faults, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        let use_timeout = prep.use_timeout;
-        let recv_timeout = faults.recv_timeout;
         let m_total = setup.observations.len();
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |mut ctx: RankCtx<DMsg>, tracer| {
+        let cycle = Cycle::new(setup, faults, monitor)?;
+        cycle.run(
+            "denkf-real",
+            &decomp,
+            0,
+            |cy, ctx: RankCtx<Wire<ObsBlock>>, tracer| {
                 let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
-                let id = decomp.id_of_rank(rank);
-                let bar = decomp.subdomain(id);
+                let injector = &cy.faults.injector;
+                let bar = decomp.subdomain(decomp.id_of_rank(rank));
+                // Every peer counts on this shard's block: a failing rank
+                // unblocks them before bailing out.
+                let peers = || (0..nranks).filter(move |&peer| peer != rank);
 
                 // Phase 1: read this shard's bar of every member file — a
                 // full-width band, one contiguous segment, one disk
                 // addressing operation per member (§4.1.2's bar argument,
                 // here applied to the analysis decomposition itself).
-                let order: Vec<usize> = match monitor {
-                    Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                    None => (0..setup.members).collect(),
-                };
-                let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-                for &k in &order {
-                    match read_region_adaptive(
-                        setup.store,
-                        tracer,
-                        None,
-                        k,
-                        &bar,
-                        injector,
-                        monitor,
-                    ) {
-                        Ok(d) => {
-                            by_member.insert(k, d);
-                        }
-                        Err(_) if dropped.contains(&k) => {}
-                        Err(e) => {
-                            // Peers count on this shard's block: unblock
-                            // them before bailing out.
-                            for peer in 0..nranks {
-                                if peer != rank {
-                                    ctx.send(
-                                        peer,
-                                        rank as u64,
-                                        DMsg::Abort {
-                                            reason: format!("read failed: {e}"),
-                                        },
-                                    );
-                                }
-                            }
-                            return Err(e.into());
-                        }
-                    }
-                }
-                let per_member: Vec<RegionData> = by_member.into_values().collect();
+                let per_member = cy.read_members(tracer, &bar).inspect_err(|_| {
+                    abort_peers(&ctx, peers());
+                })?;
                 let xb = region_to_matrix(&bar, &per_member);
-                let n_alive = alive.len();
+                let n_alive = cy.faults.alive.len();
 
                 // Local observation rows of this bar. `localize` and
                 // `indices_in` enumerate the same ascending global order,
                 // so `global_rows[r]` is the global index of local row `r`.
                 let mut obs = setup.observations.localize(&bar);
-                if !dropped.is_empty() {
-                    obs = obs.select_members(alive);
+                if !cy.faults.dropped.is_empty() {
+                    obs = obs.select_members(&cy.faults.alive);
                 }
                 let global_rows = setup.observations.operator().network().indices_in(&bar);
                 debug_assert_eq!(global_rows.len(), obs.len());
@@ -207,10 +154,7 @@ impl DEnkf {
                 // Phase 2: all-to-all exchange of the observation blocks
                 // (never state rows — the payload is m_loc × N, independent
                 // of the shard's state size).
-                for peer in 0..nranks {
-                    if peer == rank {
-                        continue;
-                    }
+                for peer in peers() {
                     let delay = injector.send_delay(rank, peer);
                     let drop_msg = injector.message_dropped(rank, peer);
                     tracer.send(None, peer, exchange_bytes(m_loc, n_alive), || {
@@ -220,12 +164,11 @@ impl DEnkf {
                         if !drop_msg {
                             ctx.send(
                                 peer,
-                                rank as u64,
-                                DMsg::ObsBlock {
+                                Wire::Data(ObsBlock {
                                     rows: global_rows.clone(),
                                     s: s_loc.clone(),
                                     d: d_loc.clone(),
-                                },
+                                }),
                             );
                         }
                     });
@@ -236,96 +179,40 @@ impl DEnkf {
                 // every observation row exactly once.
                 let mut s_glob = Matrix::zeros(m_total, n_alive);
                 let mut d_glob = Matrix::zeros(m_total, n_alive);
-                let mut scatter = |rows: &[usize], s: &Matrix, d: &Matrix| {
-                    for (r, &g) in rows.iter().enumerate() {
-                        s_glob.row_mut(g).copy_from_slice(s.row(r));
-                        d_glob.row_mut(g).copy_from_slice(d.row(r));
+                let mut scatter = |b: &ObsBlock| {
+                    for (r, &g) in b.rows.iter().enumerate() {
+                        s_glob.row_mut(g).copy_from_slice(b.s.row(r));
+                        d_glob.row_mut(g).copy_from_slice(b.d.row(r));
                     }
                 };
-                scatter(&global_rows, &s_loc, &d_loc);
-                let received: Result<()> = tracer.wait(None, || {
-                    for _ in 0..nranks - 1 {
-                        let envelope = if use_timeout {
-                            match ctx.recv_timeout(recv_timeout) {
-                                Ok(env) => env,
-                                Err(e) => return Err(e.into()),
-                            }
-                        } else {
-                            match ctx.recv() {
-                                Ok(env) => env,
-                                Err(e) => return Err(e.into()),
-                            }
-                        };
-                        match envelope.payload {
-                            DMsg::ObsBlock { rows, s, d } => scatter(&rows, &s, &d),
-                            DMsg::Abort { reason } => {
-                                return Err(EnkfError::GeometryMismatch(format!(
-                                    "peer aborted: {reason}"
-                                )))
-                            }
-                        }
-                    }
-                    Ok(())
+                scatter(&ObsBlock {
+                    rows: global_rows,
+                    s: s_loc,
+                    d: d_loc,
                 });
-                if let Err(e) = received {
-                    // Unblock peers still waiting on this rank's block
-                    // before bailing out (they already have our ObsBlock,
-                    // but an abort must not strand anyone mid-collective on
-                    // a *different* failure path).
-                    for peer in 0..nranks {
-                        if peer != rank {
-                            ctx.send(
-                                peer,
-                                rank as u64,
-                                DMsg::Abort {
-                                    reason: e.to_string(),
-                                },
-                            );
+                tracer
+                    .wait(None, || {
+                        for _ in 0..nranks - 1 {
+                            scatter(&receive(ctx.inbox(), cy.faults.timeout())?);
                         }
-                    }
-                    return Err(e);
-                }
+                        Ok::<_, SubstrateError>(())
+                    })
+                    .inspect_err(|_| abort_peers(&ctx, peers()))?;
 
                 // Phase 3: the batched transform (identical on every rank)
                 // and the shard-local update Xᵃ = Xᵇ + U_shard T.
-                let dilation = injector.compute_dilation(rank);
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
                 let r_var = setup.observations.error_var();
-                tracer
-                    .compute(None, || {
-                        let start = Instant::now();
-                        let t = batched_transform(&s_glob, &d_glob, r_var, kernel)?;
-                        let mut u = xb.clone();
-                        let means = u.row_means();
-                        u.subtract_row_vector(&means);
-                        let mut xa = xb.clone();
-                        xa.axpy(1.0, &u.matmul(&t)?)?;
-                        dilate(start, dilation);
-                        Ok(xa)
-                    })
-                    .map(|m| (bar, m))
-            });
-
-        let mut trace = Trace::new("denkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
-        };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+                cy.compute(tracer, rank, None, || {
+                    let t = batched_transform(&s_glob, &d_glob, r_var, kernel)?;
+                    let mut u = xb.clone();
+                    let means = u.row_means();
+                    u.subtract_row_vector(&means);
+                    let mut xa = xb.clone();
+                    xa.axpy(1.0, &u.matmul(&t)?)?;
+                    Ok(Some(xa))
+                })
+            },
+        )
     }
 }
 

@@ -7,16 +7,16 @@
 //! analysis as the other variants.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::exec::{abort_peers, receive, Blocks, Cycle, Wire};
+use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_data::region_to_matrix;
 use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
 use enkf_health::HealthMonitor;
-use enkf_net::{Cluster, RankCtx};
+use enkf_net::RankCtx;
 use enkf_pfs::{read_full_adaptive, RegionData};
 use enkf_trace::Trace;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The L-EnKF variant: `n_sdx × n_sdy` ranks, rank 0 is the only reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,28 +58,15 @@ impl LEnkf {
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
         let decomp = setup.decomposition(self.nsdx, self.nsdy)?;
-        let mesh = setup.mesh();
         let radius = setup.analysis.radius;
-        let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(faults, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        let use_timeout = prep.use_timeout;
-        let recv_timeout = faults.recv_timeout;
-        // Build the spatial observation index and perturbation cache once
-        // per cycle, before the worker ranks start querying it.
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, enkf_linalg::Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |mut ctx: RankCtx<Msg>, tracer| {
+        let cycle = Cycle::new(setup, faults, monitor)?;
+        cycle.run(
+            "lenkf-real",
+            &decomp,
+            0,
+            |cy, ctx: RankCtx<Wire<Blocks>>, tracer| {
                 let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
+                let injector = &cy.faults.injector;
                 let id = decomp.id_of_rank(rank);
                 let target = decomp.subdomain(id);
                 let expansion = decomp.expansion(id, radius);
@@ -87,18 +74,13 @@ impl LEnkf {
                     (0..setup.members).map(|_| None).collect();
 
                 if rank == 0 {
-                    // The single reader: read each full member, carve out every
-                    // rank's expansion block, send (keep own block locally).
-                    // Dropped members burn their injected-failure spans but
-                    // produce no scatter. Under a health monitor the read
-                    // order moves blacklisted-OST members last; peers key
-                    // blocks by member index, so the reorder is invisible
-                    // to the numerics.
-                    let order: Vec<usize> = match monitor {
-                        Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                        None => (0..setup.members).collect(),
-                    };
-                    for &k in &order {
+                    // The single reader: read each full member, carve out
+                    // every rank's expansion block, send (keep own block
+                    // locally). Dropped members burn their injected-failure
+                    // spans but produce no scatter. Peers key blocks by
+                    // member index, so the monitor's read order is
+                    // invisible to the numerics.
+                    for &k in &cy.order {
                         let full = match read_full_adaptive(
                             setup.store,
                             tracer,
@@ -108,24 +90,14 @@ impl LEnkf {
                             monitor,
                         ) {
                             Ok(d) => d,
-                            Err(_) if dropped.contains(&k) => continue,
+                            Err(_) if cy.faults.dropped.contains(&k) => continue,
                             Err(e) => {
-                                // Unblock every waiting rank before bailing out.
-                                for peer in 1..ctx.size() {
-                                    ctx.send(
-                                        peer,
-                                        k as u64,
-                                        Msg::Abort {
-                                            reason: format!("read failed: {e}"),
-                                        },
-                                    );
-                                }
+                                abort_peers(&ctx, 1..ctx.size());
                                 return Err(e.into());
                             }
                         };
                         for peer in 1..ctx.size() {
-                            let peer_id = decomp.id_of_rank(peer);
-                            let peer_exp = decomp.expansion(peer_id, radius);
+                            let peer_exp = decomp.expansion(decomp.id_of_rank(peer), radius);
                             let (_, block_bytes) = setup.store.op_cost(&peer_exp);
                             let delay = injector.send_delay(0, peer);
                             let drop_msg = injector.message_dropped(0, peer);
@@ -137,12 +109,11 @@ impl LEnkf {
                                 if !drop_msg {
                                     ctx.send(
                                         peer,
-                                        k as u64,
-                                        Msg::Blocks {
+                                        Wire::Data(Blocks {
                                             stage: 0,
                                             members: vec![k],
                                             data: vec![block],
-                                        },
+                                        }),
                                     );
                                 }
                             });
@@ -152,45 +123,21 @@ impl LEnkf {
                 } else {
                     // Receive the expansion blocks of all surviving members
                     // from rank 0.
-                    let received: std::result::Result<(), enkf_core::EnkfError> =
-                        tracer.wait(None, || {
-                            for _ in 0..alive.len() {
-                                let envelope = if use_timeout {
-                                    match ctx.recv_timeout(recv_timeout) {
-                                        Ok(env) => env,
-                                        Err(e) => return Err(e.into()),
-                                    }
-                                } else {
-                                    match ctx.recv() {
-                                        Ok(env) => env,
-                                        Err(e) => return Err(e.into()),
-                                    }
-                                };
-                                match envelope.payload {
-                                    Msg::Blocks {
-                                        members, mut data, ..
-                                    } => {
-                                        let k = members[0];
-                                        per_member[k] = Some(data.remove(0));
-                                    }
-                                    Msg::Abort { reason } => {
-                                        return Err(enkf_core::EnkfError::GeometryMismatch(
-                                            format!("reader aborted: {reason}"),
-                                        ))
-                                    }
-                                }
-                            }
-                            Ok(())
-                        });
-                    received?;
+                    tracer.wait(None, || {
+                        for _ in 0..cy.faults.alive.len() {
+                            let mut blocks = receive(ctx.inbox(), cy.faults.timeout())?;
+                            per_member[blocks.members[0]] = blocks.data.pop();
+                        }
+                        Ok::<_, SubstrateError>(())
+                    })?;
                 }
 
                 // Typed, not a panic: a protocol violation (a duplicate
                 // block shadowing another member within the counted
                 // receive loop) must tear this rank down cleanly, like
                 // every other substrate failure.
-                let mut assembled: Vec<RegionData> = Vec::with_capacity(alive.len());
-                for &k in alive {
+                let mut assembled: Vec<RegionData> = Vec::with_capacity(cy.faults.alive.len());
+                for &k in &cy.faults.alive {
                     match per_member[k].take() {
                         Some(d) => assembled.push(d),
                         None => {
@@ -202,43 +149,12 @@ impl LEnkf {
                         }
                     }
                 }
-                let per_member = assembled;
-                let dilation = injector.compute_dilation(rank);
-                let out = tracer.compute(None, || {
-                    let start = Instant::now();
-                    let xb = region_to_matrix(&expansion, &per_member);
-                    let mut obs = setup.observations.localize(&expansion);
-                    if !dropped.is_empty() {
-                        obs = obs.select_members(alive);
-                    }
-                    let r = setup.analysis.analyze(mesh, &target, &expansion, &xb, &obs);
-                    dilate(start, dilation);
-                    r
-                });
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
-                out.map(|m| (target, m))
-            });
-
-        let mut trace = Trace::new("lenkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
-        };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+                cy.analyze(tracer, rank, None, &target, &expansion, || {
+                    region_to_matrix(&expansion, &assembled)
+                })
+                .map(Some)
+            },
+        )
     }
 }
 

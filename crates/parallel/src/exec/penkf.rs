@@ -9,17 +9,14 @@
 //! attacks.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::exec::Cycle;
+use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_health::HealthMonitor;
-use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_net::RankCtx;
 use enkf_trace::Trace;
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The P-EnKF variant: `n_sdx × n_sdy` ranks, block reading, sequential
 /// phases.
@@ -73,98 +70,21 @@ impl PEnkf {
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
         let decomp = setup.decomposition(self.nsdx, self.nsdy)?;
-        let mesh = setup.mesh();
         let radius = setup.analysis.radius;
-        let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(faults, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        // Build the spatial observation index and perturbation cache once
-        // per cycle, before the worker ranks start querying it.
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, enkf_linalg::Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |ctx: RankCtx<Msg>, tracer| {
-                let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
-                let id = decomp.id_of_rank(rank);
-                let target = decomp.subdomain(id);
-                let expansion = decomp.expansion(id, radius);
-
-                // Phase 1: block-read the expansion of every member file.
-                // Dropped members still burn their (injected-failure) fault
-                // spans before being skipped, so the wall cost of deciding
-                // to drop is accounted for. Under a health monitor the read
-                // *order* moves blacklisted-OST members last, but blocks are
-                // collected keyed by member and re-assembled ascending, so
-                // the analysis input is bit-identical either way.
-                let order: Vec<usize> = match monitor {
-                    Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                    None => (0..setup.members).collect(),
-                };
-                let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-                for &k in &order {
-                    match read_region_adaptive(
-                        setup.store,
-                        tracer,
-                        None,
-                        k,
-                        &expansion,
-                        injector,
-                        monitor,
-                    ) {
-                        Ok(d) => {
-                            by_member.insert(k, d);
-                        }
-                        Err(_) if dropped.contains(&k) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                let per_member: Vec<RegionData> = by_member.into_values().collect();
-
-                // Phase 2: local analysis on the gathered data.
-                let dilation = injector.compute_dilation(rank);
-                let out = tracer.compute(None, || {
-                    let start = Instant::now();
-                    let xb = region_to_matrix(&expansion, &per_member);
-                    let mut obs = setup.observations.localize(&expansion);
-                    if !dropped.is_empty() {
-                        obs = obs.select_members(alive);
-                    }
-                    let r = setup.analysis.analyze(mesh, &target, &expansion, &xb, &obs);
-                    dilate(start, dilation);
-                    r
-                });
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
-                out.map(|m| (target, m))
-            });
-
-        let mut trace = Trace::new("penkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
-        };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+        let cycle = Cycle::new(setup, faults, monitor)?;
+        cycle.run("penkf-real", &decomp, 0, |cy, ctx: RankCtx<()>, tracer| {
+            let rank = ctx.rank();
+            let id = decomp.id_of_rank(rank);
+            let target = decomp.subdomain(id);
+            let expansion = decomp.expansion(id, radius);
+            // Phase 1: block-read the expansion of every member file.
+            let per_member = cy.read_members(tracer, &expansion)?;
+            // Phase 2: local analysis on the gathered data.
+            cy.analyze(tracer, rank, None, &target, &expansion, || {
+                region_to_matrix(&expansion, &per_member)
+            })
+            .map(Some)
+        })
     }
 }
 

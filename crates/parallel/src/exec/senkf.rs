@@ -15,28 +15,20 @@
 //!   work on stage `l+1` — the overlap of Figs. 7–8.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::exec::{abort_peers, receive, Blocks, Cycle, Wire};
+use crate::prep::read_order;
+use crate::report::ExecutionReport;
 use enkf_core::{EnkfError, Ensemble, Result};
 use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
-use enkf_grid::RegionRect;
+use enkf_grid::SubDomainId;
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
-use enkf_net::{Cluster, RankCtx};
+use enkf_net::RankCtx;
 use enkf_pfs::{read_stages_ahead_adaptive, ReadAheadError, StageRead};
-use enkf_trace::{Role, Trace};
+use enkf_trace::Trace;
 use enkf_tuning::Params;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// Helper-channel sentinel: an I/O rank aborted (sent `Msg::Abort`).
-const ABORT_SENTINEL: usize = usize::MAX;
-/// Helper-channel sentinel: a receive timed out (crashed/dropping peer).
-const TIMEOUT_SENTINEL: usize = usize::MAX - 1;
-/// Helper-channel sentinel: the helper's own bookkeeping failed (a stage it
-/// believed complete was not present). Surfaced as
-/// [`SubstrateError::HelperFailed`] instead of panicking the process.
-const HELPER_ERR_SENTINEL: usize = usize::MAX - 2;
+use std::time::Duration;
 
 /// The S-EnKF variant, configured by the auto-tunable parameter set
 /// `(n_sdx, n_sdy, L, n_cg)`.
@@ -107,40 +99,37 @@ impl SEnkf {
                 setup.members, p.ncg
             )));
         }
-        let mesh = setup.mesh();
         let radius = setup.analysis.radius;
         let c2 = decomp.num_subdomains();
-        let c1 = p.ncg * p.nsdy;
-        let nranks = c1 + c2;
         let files_per_group = setup.members / p.ncg;
-        let prep = prepare_faults(faults, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        let use_timeout = prep.use_timeout;
-        let recv_timeout = faults.recv_timeout;
+        let cycle = Cycle::new(setup, faults, monitor)?;
         // Global member index → column of the (possibly reduced) X̄ᵇ.
-        let alive_cols: BTreeMap<usize, usize> =
-            alive.iter().enumerate().map(|(c, &k)| (k, c)).collect();
+        let alive_cols: BTreeMap<usize, usize> = cycle
+            .faults
+            .alive
+            .iter()
+            .enumerate()
+            .map(|(c, &k)| (k, c))
+            .collect();
         // Groups whose members all dropped send no bundles at all, so the
         // helper thread must expect `layers × groups_alive` of them.
         let groups_alive = (0..p.ncg)
             .filter(|g| {
-                (g * files_per_group..(g + 1) * files_per_group).any(|k| !dropped.contains(&k))
+                (g * files_per_group..(g + 1) * files_per_group)
+                    .any(|k| !cycle.faults.dropped.contains(&k))
             })
             .count();
-        // Build the spatial observation index and perturbation cache once
-        // per cycle, before the worker ranks start querying it.
-        setup.observations.prepare();
-        let t0 = Instant::now();
 
-        type RankOut = (Result<Option<(RegionRect, Matrix)>>, /* is_io: */ bool);
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |mut ctx: RankCtx<Msg>, tracer| {
+        cycle.run(
+            "senkf-real",
+            &decomp,
+            p.ncg * p.nsdy,
+            |cy, mut ctx: RankCtx<Wire<Blocks>>, tracer| {
                 let rank = ctx.rank();
+                let injector = &cy.faults.injector;
+                let dropped = &cy.faults.dropped;
                 if rank >= c2 {
                     // ---- I/O rank (group g, latitude block j) ----
-                    tracer.set_role(Role::Io);
                     let io_index = rank - c2;
                     let group = io_index / p.nsdy;
                     let j = io_index % p.nsdy;
@@ -150,10 +139,7 @@ impl SEnkf {
                     // order the pipeline delivers.
                     let files: Vec<usize> =
                         (group * files_per_group..(group + 1) * files_per_group).collect();
-                    let files = match monitor {
-                        Some(mon) => mon.view().reorder(&files),
-                        None => files,
-                    };
+                    let files = read_order(&files, monitor);
                     let alive_files: Vec<usize> = files
                         .iter()
                         .copied()
@@ -166,8 +152,7 @@ impl SEnkf {
                     // sequential loop would perform happen — digests are
                     // order-insensitive, so prefetching cannot move them.
                     let crash = injector.crash_stage(rank);
-                    let run_stages = crash.unwrap_or(p.layers);
-                    let plan: Vec<StageRead> = (0..run_stages)
+                    let plan: Vec<StageRead> = (0..crash.unwrap_or(p.layers))
                         .map(|l| StageRead {
                             stage: l,
                             region: decomp.small_bar(j, l, p.layers, radius),
@@ -188,7 +173,7 @@ impl SEnkf {
                             }
                             debug_assert_eq!(datas.len(), alive_files.len());
                             for i in 0..p.nsdx {
-                                let id = enkf_grid::SubDomainId { i, j };
+                                let id = SubDomainId { i, j };
                                 let block = decomp.block_of_small_bar(id, l, p.layers, radius);
                                 let (_, block_bytes) = setup.store.op_cost(&block);
                                 let bundle_bytes = block_bytes * alive_files.len() as u64;
@@ -203,17 +188,15 @@ impl SEnkf {
                                     if delay > 0.0 {
                                         std::thread::sleep(Duration::from_secs_f64(delay));
                                     }
-                                    let blocks: Vec<enkf_pfs::RegionData> =
-                                        datas.iter().map(|d| d.extract(&block)).collect();
+                                    let data = datas.iter().map(|d| d.extract(&block)).collect();
                                     if !drop_msg {
                                         ctx.send(
                                             target,
-                                            l as u64,
-                                            Msg::Blocks {
+                                            Wire::Data(Blocks {
                                                 stage: l,
                                                 members: alive_files.clone(),
-                                                data: blocks,
-                                            },
+                                                data,
+                                            }),
                                         );
                                     }
                                 });
@@ -221,136 +204,80 @@ impl SEnkf {
                             Ok(())
                         },
                     );
-                    match outcome {
-                        Ok(()) => {}
-                        Err(ReadAheadError::Read {
-                            stage: l, error: e, ..
-                        }) => {
-                            // Unblock this latitude block's compute ranks
-                            // before bailing out.
-                            for i in 0..p.nsdx {
-                                let id = enkf_grid::SubDomainId { i, j };
-                                ctx.send(
-                                    decomp.rank_of(id),
-                                    l as u64,
-                                    Msg::Abort {
-                                        reason: format!("read failed: {e}"),
-                                    },
-                                );
+                    let failure: EnkfError = match outcome {
+                        Ok(()) => match crash {
+                            // The plan kills this rank at the start of stage
+                            // l: it stops responding — peers must time out.
+                            Some(l) => {
+                                injector.log().crashed(rank, l);
+                                return Err(SubstrateError::RankCrashed { rank, stage: l }.into());
                             }
-                            return (Err(e.into()), true);
-                        }
+                            None => return Ok(None),
+                        },
+                        Err(ReadAheadError::Read { error, .. }) => error.into(),
                         Err(ReadAheadError::Consume(never)) => match never {},
+                        // A contained prefetch-thread panic: a typed
+                        // substrate error, not a torn-down executor.
                         Err(ReadAheadError::ReaderPanicked { message }) => {
-                            // Contained prefetch-thread panic: unblock this
-                            // latitude block's compute ranks, then surface a
-                            // typed substrate error instead of tearing down
-                            // the executor.
-                            let detail = format!("prefetch thread panicked: {message}");
-                            for i in 0..p.nsdx {
-                                let id = enkf_grid::SubDomainId { i, j };
-                                ctx.send(
-                                    decomp.rank_of(id),
-                                    0,
-                                    Msg::Abort {
-                                        reason: detail.clone(),
-                                    },
-                                );
+                            SubstrateError::HelperFailed {
+                                rank,
+                                detail: format!("prefetch thread panicked: {message}"),
                             }
-                            return (
-                                Err(SubstrateError::HelperFailed { rank, detail }.into()),
-                                true,
-                            );
+                            .into()
                         }
-                    }
-                    if let Some(l) = crash {
-                        // The plan kills this rank at the start of stage l:
-                        // it stops responding — peers must time out.
-                        injector.log().crashed(rank, l);
-                        return (
-                            Err(SubstrateError::RankCrashed { rank, stage: l }.into()),
-                            true,
-                        );
-                    }
-                    return (Ok(None), true);
+                    };
+                    // Unblock this latitude block's compute ranks before
+                    // bailing out.
+                    abort_peers(
+                        &ctx,
+                        (0..p.nsdx).map(|i| decomp.rank_of(SubDomainId { i, j })),
+                    );
+                    return Err(failure);
                 }
 
                 // ---- Compute rank (sub-domain id) ----
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return (
-                        Err(SubstrateError::RankCrashed { rank, stage }.into()),
-                        false,
-                    );
-                }
                 let id = decomp.id_of_rank(rank);
                 let target = decomp.subdomain(id);
 
-                // Offload reception to the helper thread (Fig. 8): it assembles
-                // X̄ᵇ for each stage and signals the main thread.
-                let (inbox, stash) = ctx.split_receiver();
-                debug_assert!(stash.is_empty(), "no traffic before the helper starts");
-                let (tx, rx) = std::sync::mpsc::channel::<(usize, Matrix)>();
-                let alive_total = alive.len();
+                // Offload reception to the helper thread (Fig. 8): it
+                // assembles X̄ᵇ for each stage and hands it to the main
+                // thread, or the typed reason it cannot.
+                let inbox = ctx.split_receiver();
+                let (tx, rx) = std::sync::mpsc::channel::<
+                    std::result::Result<(usize, Matrix), SubstrateError>,
+                >();
+                let alive_total = cy.faults.alive.len();
                 let cols = alive_cols.clone();
                 let layers = p.layers;
+                let timeout = cy.faults.timeout();
                 let helper = std::thread::spawn(move || {
-                    struct Stage {
-                        matrix: Matrix,
-                        filled: usize,
-                    }
-                    let mut stages: BTreeMap<usize, Stage> = BTreeMap::new();
+                    let mut stages: BTreeMap<usize, (Matrix, usize)> = BTreeMap::new();
                     for _ in 0..layers * groups_alive {
-                        let env = if use_timeout {
-                            match inbox.recv_timeout(Duration::from_secs_f64(recv_timeout)) {
-                                Ok(env) => env,
-                                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                                    let _ = tx.send((TIMEOUT_SENTINEL, Matrix::zeros(0, 2)));
-                                    return;
-                                }
-                                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                            }
-                        } else {
-                            let Ok(env) = inbox.recv() else { return };
-                            env
-                        };
-                        let (stage, members, data) = match env.payload {
-                            Msg::Blocks {
-                                stage,
-                                members,
-                                data,
-                            } => (stage, members, data),
-                            Msg::Abort { .. } => {
-                                // Signal the main thread with a sentinel stage
-                                // and stop ingesting.
-                                let _ = tx.send((ABORT_SENTINEL, Matrix::zeros(0, 2)));
+                        let blocks = match receive(&inbox, timeout) {
+                            Ok(blocks) => blocks,
+                            Err(e) => {
+                                let _ = tx.send(Err(e));
                                 return;
                             }
                         };
+                        let stage = blocks.stage;
                         let region = decomp.layer_expansion(id, stage, layers, radius);
-                        let entry = stages.entry(stage).or_insert_with(|| Stage {
-                            matrix: Matrix::zeros(region.npoints(), alive_total),
-                            filled: 0,
-                        });
-                        for (&k, rd) in members.iter().zip(&data) {
+                        let (matrix, filled) = stages
+                            .entry(stage)
+                            .or_insert_with(|| (Matrix::zeros(region.npoints(), alive_total), 0));
+                        for (&k, rd) in blocks.members.iter().zip(&blocks.data) {
                             debug_assert_eq!(rd.region(), region, "block region mismatch");
                             let col = cols[&k];
                             for (row, v) in rd.surface().enumerate() {
-                                entry.matrix[(row, col)] = v;
+                                matrix[(row, col)] = v;
                             }
                         }
-                        entry.filled += members.len();
-                        if entry.filled == alive_total {
-                            let Some(done) = stages.remove(&stage) else {
-                                // Unreachable in practice (the entry was just
-                                // filled above), but a bookkeeping bug here
-                                // must surface as a typed error on the main
-                                // thread, not a helper panic.
-                                let _ = tx.send((HELPER_ERR_SENTINEL, Matrix::zeros(0, 2)));
-                                return;
-                            };
-                            if tx.send((stage, done.matrix)).is_err() {
-                                return; // main thread bailed out
+                        *filled += blocks.members.len();
+                        if *filled == alive_total {
+                            if let Some((done, _)) = stages.remove(&stage) {
+                                if tx.send(Ok((stage, done))).is_err() {
+                                    return; // main thread bailed out
+                                }
                             }
                         }
                     }
@@ -358,12 +285,7 @@ impl SEnkf {
 
                 // Multi-stage local analysis: stage l computes while the helper
                 // and the I/O ranks feed stage l+1.
-                let sub_width = target.width();
-                let layer_height = target.height() / p.layers;
-                let dilation = injector.compute_dilation(rank);
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
+                let row_stride = target.height() / p.layers * target.width();
                 let mut result = Matrix::zeros(target.npoints(), alive_total);
                 let mut ready: BTreeMap<usize, Matrix> = BTreeMap::new();
                 for l in 0..p.layers {
@@ -372,114 +294,40 @@ impl SEnkf {
                             break m;
                         }
                         match tracer.wait(Some(l), || rx.recv()) {
-                            Ok((stage, m)) => {
-                                if stage == ABORT_SENTINEL {
-                                    return (
-                                        Err(EnkfError::GeometryMismatch(
-                                            "an I/O rank aborted (read failure)".into(),
-                                        )),
-                                        false,
-                                    );
-                                }
-                                if stage == TIMEOUT_SENTINEL {
-                                    return (
-                                        Err(SubstrateError::RecvTimeout {
-                                            rank,
-                                            waited: recv_timeout,
-                                        }
-                                        .into()),
-                                        false,
-                                    );
-                                }
-                                if stage == HELPER_ERR_SENTINEL {
-                                    return (
-                                        Err(SubstrateError::HelperFailed {
-                                            rank,
-                                            detail: "stage bookkeeping lost a completed stage"
-                                                .into(),
-                                        }
-                                        .into()),
-                                        false,
-                                    );
-                                }
+                            Ok(Ok((stage, m))) => {
                                 ready.insert(stage, m);
                             }
+                            Ok(Err(e)) => return Err(e.into()),
                             Err(_) => {
-                                return (
-                                    Err(SubstrateError::HelperFailed {
-                                        rank,
-                                        detail: "helper thread terminated early".into(),
-                                    }
-                                    .into()),
-                                    false,
-                                )
+                                return Err(SubstrateError::HelperFailed {
+                                    rank,
+                                    detail: "helper thread terminated early".into(),
+                                }
+                                .into())
                             }
                         }
                     };
                     let layer = decomp.layer(id, l, p.layers);
                     let expansion = decomp.layer_expansion(id, l, p.layers, radius);
-                    let analyzed = tracer.compute(Some(l), || {
-                        let start = Instant::now();
-                        let mut obs = setup.observations.localize(&expansion);
-                        if !dropped.is_empty() {
-                            obs = obs.select_members(alive);
-                        }
-                        let r = setup.analysis.analyze(mesh, &layer, &expansion, &xb, &obs);
-                        dilate(start, dilation);
-                        r
-                    });
-                    match analyzed {
-                        Ok(xa) => {
-                            // Layer rows are contiguous within the sub-domain's
-                            // row-priority local ordering.
-                            let row0 = l * layer_height * sub_width;
-                            for r in 0..xa.nrows() {
-                                result.row_mut(row0 + r).copy_from_slice(xa.row(r));
-                            }
-                        }
-                        Err(e) => return (Err(e), false),
+                    let xa = cy.analyze(tracer, rank, Some(l), &layer, &expansion, || xb)?;
+                    // Layer rows are contiguous within the sub-domain's
+                    // row-priority local ordering.
+                    for r in 0..xa.nrows() {
+                        result
+                            .row_mut(l * row_stride + r)
+                            .copy_from_slice(xa.row(r));
                     }
                 }
                 if helper.join().is_err() {
-                    return (
-                        Err(SubstrateError::HelperFailed {
-                            rank,
-                            detail: "helper thread panicked".into(),
-                        }
-                        .into()),
-                        false,
-                    );
+                    return Err(SubstrateError::HelperFailed {
+                        rank,
+                        detail: "helper thread panicked".into(),
+                    }
+                    .into());
                 }
-                (Ok(Some((target, result))), false)
-            });
-
-        let mut trace = Trace::new("senkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut io_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(c2);
-        for ((res, is_io), spans) in results {
-            let phases = PhaseBreakdown::from_spans(&spans);
-            trace.extend(spans);
-            if is_io {
-                io_ranks.merge(&phases);
-                res?;
-            } else {
-                compute_ranks.merge(&phases);
-                if let Some(pair) = res? {
-                    per_domain.push(pair);
-                }
-            }
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks,
-            num_compute_ranks: c2,
-            num_io_ranks: c1,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
-        };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+                Ok(Some(result))
+            },
+        )
     }
 }
 

@@ -47,6 +47,7 @@
 pub mod campaign;
 pub mod exec;
 pub mod model;
+mod prep;
 pub mod report;
 
 pub use campaign::{

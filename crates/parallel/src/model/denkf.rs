@@ -8,9 +8,9 @@
 //! and one batched-transform compute gated on every peer's block.
 
 use crate::exec::denkf::exchange_bytes;
-use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use crate::model::{finish, preflight, weave_member_read, ModelConfig, ModelOutcome};
+use crate::prep::read_order;
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, Mesh, ObservationNetwork};
 use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
@@ -47,32 +47,13 @@ pub(crate) fn model_denkf_adaptive(
     let decomp = Decomposition::new(mesh, 1, shards).map_err(|e| e.to_string())?;
     let layout = FileLayout::new(mesh, w.h);
     let obs_net = ObservationNetwork::uniform(mesh, cfg.obs_stride);
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled D-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    if fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("modeled D-EnKF cannot complete: the plan drops a message".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
-    let alive = w.members - dropped.len();
+    let prep = preflight(fcfg, w.members, "D-EnKF", true)?;
+    let injector = &prep.injector;
+    let alive = prep.alive.len();
 
     let mut sim = Simulation::new();
     let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
-    let net = ModeledNet::register(&mut sim, cfg.net, shards);
+    let net = ModeledNet::register(&mut sim, shards);
     let agents = sim.add_agents(shards);
 
     // Per-rank observed row counts (the shard's rows of the network) and
@@ -87,14 +68,14 @@ pub(crate) fn model_denkf_adaptive(
     // exchange. `sends_to[r]` collects every peer's send targeting rank r —
     // the dependencies of r's batched compute.
     let mut sends_to: Vec<Vec<TaskId>> = vec![Vec::new(); shards];
+    let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
     for (r, id) in decomp.iter_ids().enumerate() {
         let bar = decomp.subdomain(id);
         let seeks = layout.seek_count(&bar) as u64;
         let bytes = layout.region_bytes(&bar);
-        let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
         for &k in &order {
             weave_member_read(
-                &mut sim, &pfs, &injector, monitor, agents[r], r, None, false, k, seeks, bytes,
+                &mut sim, &pfs, injector, monitor, agents[r], r, None, false, k, seeks, bytes,
             )?;
         }
         // One observation-block send per peer. Program order on the agent
@@ -128,10 +109,7 @@ pub(crate) fn model_denkf_adaptive(
     let mut compute_tasks = Vec::with_capacity(shards);
     for (r, id) in decomp.iter_ids().enumerate() {
         let bar = decomp.subdomain(id);
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
+        let dilation = prep.dilation(r, monitor);
         let service = cfg.compute_cost_per_point * (bar.npoints() + m_total) as f64 * dilation;
         let t = sim
             .add_task(
@@ -143,26 +121,7 @@ pub(crate) fn model_denkf_adaptive(
         compute_tasks.push(t);
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let compute_mean = phase_sum(&report.agents).scaled(1.0 / shards as f64);
-    let makespan = report.makespan;
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan,
-            compute_mean,
-            io_mean: PhaseBreakdown::default(),
-            num_compute_ranks: shards,
-            num_io_ranks: 0,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        sim,
-        injector.into_log(),
-    ))
+    finish(sim, shards, &compute_tasks, prep)
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //! matching the real executor, whose wait spans are excluded from the
 //! operation digest.
 
-use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
+use crate::model::{finish, preflight, weave_member_read, ModelConfig, ModelOutcome};
+use crate::prep::read_order;
 use crate::CampaignExecutor;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
 use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
@@ -66,32 +66,13 @@ pub(crate) fn model_lenkf_adaptive(
         eta: w.eta,
     };
     let layout = FileLayout::new(mesh, w.h);
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled L-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    if fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("modeled L-EnKF cannot complete: the plan drops a message".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let prep = preflight(fcfg, w.members, "L-EnKF", true)?;
+    let injector = &prep.injector;
 
     let ranks = decomp.num_subdomains();
     let mut sim = Simulation::new();
     let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
-    let net = ModeledNet::register(&mut sim, cfg.net, ranks);
+    let net = ModeledNet::register(&mut sim, ranks);
     let agents = sim.add_agents(ranks);
 
     // Rank 0: one full-file read per member, then the per-peer scatter.
@@ -104,10 +85,9 @@ pub(crate) fn model_lenkf_adaptive(
     let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
     for &k in &order {
         weave_member_read(
-            &mut sim, &pfs, &injector, monitor, agents[0], 0, None, false, k, full_seeks,
-            full_bytes,
+            &mut sim, &pfs, injector, monitor, agents[0], 0, None, false, k, full_seeks, full_bytes,
         )?;
-        if dropped.contains(&k) {
+        if prep.dropped.contains(&k) {
             continue; // failed members produce no scatter
         }
         for (peer, peer_id) in decomp.iter_ids().enumerate().skip(1) {
@@ -133,10 +113,7 @@ pub(crate) fn model_lenkf_adaptive(
     // them; rank 0 follows its own reads and sends in program order.
     let mut compute_tasks = Vec::with_capacity(ranks);
     for (r, id) in decomp.iter_ids().enumerate() {
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
+        let dilation = prep.dilation(r, monitor);
         let comp = cfg.compute_cost_per_point * decomp.subdomain(id).npoints() as f64 * dilation;
         let t = sim
             .add_task(
@@ -148,25 +125,7 @@ pub(crate) fn model_lenkf_adaptive(
         compute_tasks.push(t);
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let compute_mean = phase_sum(&report.agents).scaled(1.0 / ranks as f64);
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan: report.makespan,
-            compute_mean,
-            io_mean: PhaseBreakdown::default(),
-            num_compute_ranks: ranks,
-            num_io_ranks: 0,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        sim,
-        injector.into_log(),
-    ))
+    finish(sim, ranks, &compute_tasks, prep)
 }
 
 #[cfg(test)]

@@ -1,4 +1,14 @@
 //! Modeled (discrete-event) executors for paper-scale experiments.
+//!
+//! Each variant's body builds only its own task graph. The scaffold
+//! around it is shared and mirrors the real one: [`preflight`] refuses a
+//! plan the real executor could only time out under and then makes the
+//! real executors' own dropout decision ([`crate::prep::FaultPrep`]);
+//! member reads are woven by [`weave_member_read`] in the monitor's read
+//! order, computed once per cycle; [`finish`] runs the graph and folds
+//! the report into the [`ModelOutcome`]. The DES has no abort protocol
+//! to mirror: a plan the real executor could only fail under is refused
+//! before the graph is built.
 
 pub mod campaign;
 pub mod denkf;
@@ -7,13 +17,14 @@ pub mod penkf;
 pub mod reading;
 pub mod senkf;
 
+use crate::prep::FaultPrep;
 use crate::report::PhaseBreakdown;
 use crate::CampaignExecutor;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_net::NetParams;
 use enkf_pfs::{ModeledPfs, PfsParams};
-use enkf_sim::{AgentId, AgentReport, Kind, ResourceId, Simulation, Task};
+use enkf_sim::{AgentId, AgentReport, Kind, ResourceId, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, Trace};
 use enkf_tuning::Workload;
 
@@ -148,32 +159,75 @@ pub(crate) fn weave_member_read(
     Ok(())
 }
 
-/// Phase totals summed over `agents` in agent order. The report's
+/// The DES fault preflight. A plan that crashes a rank — or, for a
+/// variant whose ranks message each other (`sends`), drops a message — is
+/// refused: the real executor's peers time out under it, so a "completed"
+/// model would lie. Otherwise the dropout decision is the real
+/// executors' own.
+pub(crate) fn preflight(
+    fcfg: &FaultConfig,
+    members: usize,
+    variant: &str,
+    sends: bool,
+) -> Result<FaultPrep, String> {
+    if !fcfg.plan.crashes.is_empty() {
+        return Err(format!(
+            "modeled {variant} cannot complete: the plan crashes a rank"
+        ));
+    }
+    if sends && fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
+        return Err(format!(
+            "modeled {variant} cannot complete: the plan drops a message"
+        ));
+    }
+    FaultPrep::new(fcfg, members).map_err(|e| e.to_string())
+}
+
+/// Run a cycle's DES graph and fold its report into the outcome. Agents
+/// are ranks, compute ranks first: the first `compute_ranks` agents give
+/// the compute-class phase means, the rest the I/O class. The report's
 /// per-agent totals are exact projections of the spans
 /// [`Simulation::export_trace`] would build, so these are the per-rank
 /// span sums, added in the same order, without building a span.
-pub(crate) fn phase_sum<'a>(agents: impl IntoIterator<Item = &'a AgentReport>) -> PhaseBreakdown {
-    let mut total = PhaseBreakdown::default();
-    for a in agents {
-        total.merge(&PhaseBreakdown {
-            read: a.busy.read,
-            comm: a.busy.comm,
-            compute: a.busy.compute,
-            wait: a.wait,
-            fault: a.busy.fault,
-        });
-    }
-    total
-}
-
-/// The member order a health-aware rank reads in: blacklisted-OST members
-/// last (stable within each class), exactly [`enkf_health::RouteView::reorder`]
-/// on the monitor's frozen view; plan order when no monitor is attached.
-pub(crate) fn read_order(members: &[usize], monitor: Option<&HealthMonitor>) -> Vec<usize> {
-    match monitor {
-        Some(mon) => mon.view().reorder(members),
-        None => members.to_vec(),
-    }
+/// `analyses` are the local-analysis tasks; the earliest start among them
+/// is the exposed acquisition prefix.
+pub(crate) fn finish(
+    mut sim: Simulation,
+    compute_ranks: usize,
+    analyses: &[TaskId],
+    prep: FaultPrep,
+) -> Result<(ModelOutcome, Simulation, FaultLog), String> {
+    let report = sim.run().map_err(|e| e.to_string())?;
+    let mean = |agents: &[AgentReport]| {
+        let mut total = PhaseBreakdown::default();
+        if agents.is_empty() {
+            return total;
+        }
+        for a in agents {
+            total.merge(&PhaseBreakdown {
+                read: a.busy.read,
+                comm: a.busy.comm,
+                compute: a.busy.compute,
+                wait: a.wait,
+                fault: a.busy.fault,
+            });
+        }
+        total.scaled(1.0 / agents.len() as f64)
+    };
+    let (compute, io) = report.agents.split_at(compute_ranks);
+    let outcome = ModelOutcome {
+        makespan: report.makespan,
+        compute_mean: mean(compute),
+        io_mean: mean(io),
+        num_compute_ranks: compute_ranks,
+        num_io_ranks: io.len(),
+        first_compute_start: analyses
+            .iter()
+            .map(|&t| sim.task_times(t).1)
+            .fold(f64::INFINITY, f64::min),
+        dropped_members: prep.dropped,
+    };
+    Ok((outcome, sim, prep.injector.into_log()))
 }
 
 /// Configuration of a modeled run: workload geometry plus substrate

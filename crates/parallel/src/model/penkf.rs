@@ -1,9 +1,9 @@
 //! Modeled P-EnKF: block reading then compute, at paper scale.
 
-use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
+use crate::model::{finish, preflight, weave_member_read, ModelConfig, ModelOutcome};
+use crate::prep::read_order;
 use crate::CampaignExecutor;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh};
 use enkf_health::HealthMonitor;
 use enkf_pfs::ModeledPfs;
@@ -63,45 +63,26 @@ pub(crate) fn model_penkf_adaptive(
         eta: w.eta,
     };
     let layout = FileLayout::new(mesh, w.h);
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled P-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let prep = preflight(fcfg, w.members, "P-EnKF", false)?;
+    let injector = &prep.injector;
 
     let mut sim = Simulation::new();
     let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
     let ranks = decomp.num_subdomains();
     let agents = sim.add_agents(ranks);
     let mut compute_tasks = Vec::with_capacity(ranks);
+    let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
 
     for (r, id) in decomp.iter_ids().enumerate() {
         let expansion = decomp.expansion(id, radius);
         let seeks = layout.seek_count(&expansion) as u64;
         let bytes = layout.region_bytes(&expansion);
-        let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
         for &k in &order {
             weave_member_read(
-                &mut sim, &pfs, &injector, monitor, agents[r], r, None, false, k, seeks, bytes,
+                &mut sim, &pfs, injector, monitor, agents[r], r, None, false, k, seeks, bytes,
             )?;
         }
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
+        let dilation = prep.dilation(r, monitor);
         let comp = cfg.compute_cost_per_point * decomp.subdomain(id).npoints() as f64 * dilation;
         let t = sim
             .add_task(Task::new(agents[r], Kind::Compute, comp).with_op(OpTag::default()))
@@ -109,26 +90,7 @@ pub(crate) fn model_penkf_adaptive(
         compute_tasks.push(t);
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let compute_mean = phase_sum(&report.agents).scaled(1.0 / ranks as f64);
-    let makespan = report.makespan;
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan,
-            compute_mean,
-            io_mean: PhaseBreakdown::default(),
-            num_compute_ranks: ranks,
-            num_io_ranks: 0,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        sim,
-        injector.into_log(),
-    ))
+    finish(sim, ranks, &compute_tasks, prep)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Modeled S-EnKF: concurrent-group bar reading, multi-stage overlap.
 
-use crate::model::{phase_sum, read_order, weave_member_read, ModelConfig, ModelOutcome};
+use crate::model::{finish, preflight, weave_member_read, ModelConfig, ModelOutcome};
+use crate::prep::read_order;
 use crate::CampaignExecutor;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, SubDomainId};
 use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
@@ -85,27 +86,8 @@ pub fn model_senkf_adaptive(
     let c2 = decomp.num_subdomains();
     let c1 = params.ncg * params.nsdy;
     let files_per_group = w.members / params.ncg;
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled S-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    if fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("modeled S-EnKF cannot complete: the plan drops a message".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let prep = preflight(fcfg, w.members, "S-EnKF", true)?;
+    let injector = &prep.injector;
     // Guard the DES against degenerate parameterizations: the task graph
     // has roughly ncg·C2·L send tasks plus reads and computes.
     let est_tasks =
@@ -123,14 +105,23 @@ pub fn model_senkf_adaptive(
     let compute_agents = sim.add_agents(c2);
     let io_agents = sim.add_agents(c1);
     // NICs: one ingestion port per compute rank (the helper thread).
-    let net = ModeledNet::register(&mut sim, cfg.net, c2);
+    let net = ModeledNet::register(&mut sim, c2);
 
     // sends[stage][compute rank] -> the send tasks the rank's stage needs.
     let mut sends: Vec<Vec<Vec<TaskId>>> = vec![vec![Vec::new(); c2]; params.layers];
+    // Each group's files in the monitor's read order, and how many of them
+    // survive the dropout.
+    let groups: Vec<(Vec<usize>, usize)> = (0..params.ncg)
+        .map(|g| {
+            let files: Vec<usize> = (g * files_per_group..(g + 1) * files_per_group).collect();
+            let alive = files.iter().filter(|f| !prep.dropped.contains(f)).count();
+            (read_order(&files, monitor), alive)
+        })
+        .collect();
 
     #[allow(clippy::needless_range_loop)] // `l` is the semantic stage number
     for l in 0..params.layers {
-        for g in 0..params.ncg {
+        for (g, (files, alive_in_group)) in groups.iter().enumerate() {
             for j in 0..params.nsdy {
                 let io_agent = io_agents[g * params.nsdy + j];
                 // Agent ids coincide with the real executor's rank numbering
@@ -140,20 +131,15 @@ pub fn model_senkf_adaptive(
                 let bar = decomp.small_bar(j, l, params.layers, radius);
                 let bar_bytes = layout.region_bytes(&bar);
                 let bar_seeks = layout.seek_count(&bar) as u64;
-                let alive_in_group = (g * files_per_group..(g + 1) * files_per_group)
-                    .filter(|file| !dropped.contains(file))
-                    .count();
                 // One read per group file (program order serializes them on
                 // the I/O rank; the OST limits cross-rank concurrency),
                 // woven through the same attempt/backoff loop as the real
                 // resilient read path.
-                let group_files: Vec<usize> =
-                    (g * files_per_group..(g + 1) * files_per_group).collect();
-                for &file in &read_order(&group_files, monitor) {
+                for &file in files {
                     weave_member_read(
                         &mut sim,
                         &pfs,
-                        &injector,
+                        injector,
                         monitor,
                         io_agent,
                         io_rank,
@@ -164,7 +150,7 @@ pub fn model_senkf_adaptive(
                         bar_bytes,
                     )?;
                 }
-                if alive_in_group == 0 {
+                if *alive_in_group == 0 {
                     continue; // whole group dropped: no bundles at all
                 }
                 // One bundled send per compute rank in this latitude block,
@@ -172,7 +158,7 @@ pub fn model_senkf_adaptive(
                 for i in 0..params.nsdx {
                     let id = SubDomainId { i, j };
                     let block = decomp.block_of_small_bar(id, l, params.layers, radius);
-                    let bytes = layout.region_bytes(&block) * alive_in_group as u64;
+                    let bytes = layout.region_bytes(&block) * *alive_in_group as u64;
                     let target = decomp.rank_of(id);
                     let service = cfg.net.p2p(bytes) + injector.send_delay(io_rank, target);
                     let t = sim
@@ -199,10 +185,7 @@ pub fn model_senkf_adaptive(
     // on the compute agent serializes communication with computation.
     let mut compute_tasks = Vec::with_capacity(c2 * params.layers);
     for (r, id) in decomp.iter_ids().enumerate() {
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
+        let dilation = prep.dilation(r, monitor);
         for (l, stage_sends) in sends.iter_mut().enumerate() {
             let layer = decomp.layer(id, l, params.layers);
             let service = cfg.compute_cost_per_point * layer.npoints() as f64 * dilation;
@@ -239,27 +222,7 @@ pub fn model_senkf_adaptive(
         }
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    // Agent ids are rank numbers: compute ranks first, then I/O ranks.
-    let compute_mean = phase_sum(&report.agents[..c2]).scaled(1.0 / c2 as f64);
-    let io_mean = phase_sum(&report.agents[c2..]).scaled(1.0 / c1 as f64);
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan: report.makespan,
-            compute_mean,
-            io_mean,
-            num_compute_ranks: c2,
-            num_io_ranks: c1,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        sim,
-        injector.into_log(),
-    ))
+    finish(sim, c2, &compute_tasks, prep)
 }
 
 #[cfg(test)]

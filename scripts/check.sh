@@ -35,7 +35,7 @@ cargo test -q -p enkf-sched
 cargo test -q --test scheduler_conformance
 
 echo "==> allocation regression: steady-state data plane (release)"
-cargo test -q --release --test dataplane_alloc_free
+cargo test -q --release --test dataplane_alloc_free --test checkpoint_alloc_free
 
 echo "==> DES engine regression (release): engine unit tests, proptests,"
 echo "    allocation-free construction and event loop, golden DES timings"

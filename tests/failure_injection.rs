@@ -5,12 +5,12 @@
 
 mod common;
 
-use common::harness_labeled;
-use s_enkf::core::{LocalAnalysis, PerturbedObservations};
+use common::{harness_labeled, SENKF};
+use s_enkf::core::{BatchedKernel, EnkfError, LocalAnalysis, PerturbedObservations};
 use s_enkf::data::ScenarioBuilder;
 use s_enkf::fault::FaultConfig;
 use s_enkf::grid::{LocalizationRadius, Mesh};
-use s_enkf::parallel::{AssimilationSetup, LEnkf, PEnkf, SEnkf};
+use s_enkf::parallel::{AssimilationSetup, CampaignExecutor, LEnkf, PEnkf, SEnkf};
 use s_enkf::tuning::Params;
 
 fn radius() -> LocalizationRadius {
@@ -74,6 +74,45 @@ fn truncated_member_file_is_an_error() {
     assert!(PEnkf { nsdx: 2, nsdy: 2 }
         .run(&setup, &FaultConfig::none(), None)
         .is_err());
+}
+
+/// A member file cut to half its length fails every executor with a
+/// typed substrate error naming that member: the root cause, not the
+/// abort notice a waiting peer received. Ranks whose blocks lie in the
+/// surviving half read fine, so the failing rank is not always rank 0 —
+/// deleting the file instead would hide that case.
+#[test]
+fn half_truncated_member_is_a_substrate_error_naming_it_in_every_executor() {
+    let mesh = Mesh::new(8, 8);
+    let members = 4;
+    let h = harness_labeled("fail-half", mesh, members, 6, 1);
+    let path = h.store.member_path(2);
+    let full = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+
+    let setup = AssimilationSetup {
+        store: &h.store,
+        members,
+        observations: &h.scenario.observations,
+        analysis: LocalAnalysis::new(radius()),
+    };
+    for exec in [
+        CampaignExecutor::LEnkf { nsdx: 2, nsdy: 2 },
+        CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 },
+        CampaignExecutor::SEnkf(SENKF),
+        CampaignExecutor::DEnkf {
+            shards: 2,
+            kernel: BatchedKernel::Cholesky,
+        },
+    ] {
+        match exec.run(&setup, &FaultConfig::none(), None) {
+            Err(EnkfError::Substrate(e)) => {
+                assert!(e.to_string().contains("member 2"), "{exec:?}: {e}")
+            }
+            Err(e) => panic!("{exec:?}: expected a substrate error, got {e:?}"),
+            Ok(_) => panic!("{exec:?}: a truncated member must fail the cycle"),
+        }
+    }
 }
 
 #[test]
